@@ -14,7 +14,6 @@ from .eisenstein import (
     bessel_k,
     eisenstein_gl2,
     eisenstein_gl2_completed,
-    eisenstein_product_numerator,
     zeta,
 )
 from .models import (

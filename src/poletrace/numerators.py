@@ -66,11 +66,13 @@ class Numerator:
         elif self.kind == "gaussian":
             out = np.exp(((sv - 0.5) / self.width) ** 2)
         else:
-            out = np.array([
-                eisenstein_gl2_completed(1.0 - x, self.z0, self.n_terms)
-                * eisenstein_gl2_completed(x, self.z, self.n_terms)
-                for x in sv
-            ])
+            # E*(1-s, z0) = E*(s, z0) by the functional equation, so with
+            # z0 = z both factors share one evaluation
+            out = eisenstein_gl2_completed(sv, self.z, self.n_terms)
+            if self.z0 == self.z:
+                out = out * out
+            else:
+                out = out * eisenstein_gl2_completed(sv, self.z0, self.n_terms)
         out = self.scale * out
         return complex(out[0]) if scalar else out
 

@@ -246,8 +246,8 @@ def check_line_symmetry(
         np.linspace(0.0, min(4.0, T), n_probe // 2),
         np.geomspace(max(1e-3, min(4.0, T)), T, n_probe // 2),
     ))
-    up = np.asarray(numerator(0.5 + 1j * tau), dtype=complex)
-    dn = np.asarray(numerator(0.5 - 1j * tau), dtype=complex)
+    values = np.asarray(numerator(np.concatenate((0.5 + 1j * tau, 0.5 - 1j * tau))), dtype=complex)
+    up, dn = values[: len(tau)], values[len(tau) :]
     scale = float(np.max(np.abs(up)))
     worst = float(np.max(np.abs(up - dn)))
     if worst > tol * max(scale, 1e-300):

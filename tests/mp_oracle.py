@@ -1,0 +1,21 @@
+"""mpmath references for the Eisenstein tests; shares no code with poletrace."""
+
+import mpmath as mp
+
+
+def bessel_k(order: complex, x: float) -> complex:
+    with mp.workdps(30):
+        return complex(mp.besselk(mp.mpc(order), x))
+
+
+def estar(s: complex, x: float, y: float, n_terms: int) -> complex:
+    """Completed series xi(2s) E(s, z) from its Fourier expansion, at 30 digits."""
+    with mp.workdps(30):
+        s, x, y = mp.mpc(s), mp.mpf(x), mp.mpf(y)
+        xi = lambda u: mp.pi ** (-u / 2) * mp.gamma(u / 2) * mp.zeta(u)
+        acc = mp.mpc(0)
+        for n in range(1, n_terms + 1):
+            sigma = mp.fsum(mp.mpf(d) ** (1 - 2 * s) for d in range(1, n + 1) if n % d == 0)
+            acc += (mp.mpf(n) ** (s - 0.5) * sigma * mp.besselk(s - 0.5, 2 * mp.pi * n * y)
+                    * mp.cos(2 * mp.pi * n * x))
+        return complex(xi(2 * s) * y**s + xi(2 * s - 1) * y ** (1 - s) + 4 * mp.sqrt(y) * acc)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import mp_oracle
 from poletrace.cli import main
 
 
@@ -175,3 +176,16 @@ class TestEvalEisenstein:
         assert main(["eval-eisenstein", "--s", "0.5,2.2", "--z", "0,1", "--completed"]) == 0
         value = complex(*map(float, capsys.readouterr().out.split()))
         assert abs(value) > 0.0
+
+    def test_completed_high_on_critical_line(self, capsys):
+        # the value is about -1.574e-27: every term decays like exp(-20 pi)
+        assert main(["eval-eisenstein", "--s", "0.5,40", "--z", "0,1", "--completed"]) == 0
+        value = complex(*map(float, capsys.readouterr().out.split()))
+        want = mp_oracle.estar(0.5 + 40j, 0.0, 1.0, 30)
+        assert abs(value.real - want.real) <= 1e-9 * abs(want.real)
+        assert want.real == pytest.approx(-1.574e-27, rel=1e-3)
+
+    def test_overflow_is_a_numerical_failure(self, capsys):
+        # xi(400) overflows: no nan is printed
+        assert main(["eval-eisenstein", "--s", "200,0", "--z", "0,1", "--completed"]) == 2
+        assert capsys.readouterr().out == ""

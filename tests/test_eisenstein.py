@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 from scipy.special import kv as scipy_kv
 
+import mp_oracle
 from poletrace.eisenstein import (
+    FOURIER_CONSTANTS,
     EisensteinParams,
     UpperHalfPoint,
-    _fourier_constants,
     bessel_k,
     eisenstein_gl2,
     eisenstein_gl2_completed,
-    eisenstein_product_numerator,
     xi,
     zeta,
 )
 from poletrace.errors import DivergentSumError, DomainError, ValidationError
+from poletrace.numerators import Numerator
+from poletrace.verify import fit_fourier_constants
 
 
 class TestZeta:
@@ -81,14 +83,37 @@ class TestBesselK:
 
     @pytest.mark.parametrize("order,x", [(2.0j, 0.5), (0.5 + 3.0j, 1.2), (6.0j, 1.0)])
     def test_complex_orders_against_doubled_settings(self, order, x):
-        base = bessel_k(order, x)
-        refined = bessel_k(order, x, tol=1e-15)
-        assert abs(base - refined) <= 1e-9 * max(abs(refined), 1e-30)
+        want = mp_oracle.bessel_k(order, x)
+        assert abs(bessel_k(order, x) - want) <= 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("a", [0.0, 0.4, 2.5, -3.0, 10.0])
+    @pytest.mark.parametrize("x", [0.1, 0.9, 6.3, 24.0, 60.0])
+    def test_complex_orders_over_the_documented_domain(self, a, x):
+        # imaginary parts on both sides of the turning point tau = x, one of
+        # them within 1e-9 of it, up to the documented |Im order| <= 60,
+        # where the value has decayed like exp(-pi tau / 2)
+        taus = [0.0, 0.5 * x, x * (1 - 1e-9), x, x * (1 + 1e-6), min(1.3 * x + 1.0, 59.0),
+                17.0, 40.0, 60.0]
+        for tau in taus:
+            for order in (complex(a, tau), complex(a, -tau)):
+                want = mp_oracle.bessel_k(order, x)
+                assert abs(bessel_k(order, x) - want) <= 1e-10 * abs(want), (order, x)
+
+    def test_vectorized_matches_elementwise(self):
+        order = np.array([0.3 + 2.0j, 40.0j, -1.5, 6.28j])
+        x = np.array([0.5, 6.28, 3.0, 6.28])
+        batch = bessel_k(order, x)
+        assert batch.shape == (4,)
+        assert all(batch[i] == bessel_k(order[i], x[i]) for i in range(4))
+        assert isinstance(bessel_k(0.5, 1.0), complex)
+
+    def test_order_out_of_range(self):
+        with pytest.raises(DomainError):
+            bessel_k(1000.0j, 1.0)
 
     def test_deep_cancellation_keeps_absolute_accuracy(self):
-        # purely imaginary order with exponentially small value: the cosh
-        # integral cancels catastrophically, so only absolute accuracy on
-        # the integrand scale exp(-x) survives in doubles
+        # purely imaginary order with exponentially small value: the absolute
+        # error stays far below the integrand scale exp(-x)
         value = bessel_k(25.0j, 2.0)
         assert abs(value) <= 1e-14 * np.exp(-2.0)
 
@@ -173,26 +198,46 @@ class TestCompleted:
 class TestProductNumerator:
     def test_symmetry_at_coincident_points(self):
         z = UpperHalfPoint(0.0, 1.0)
-        up = eisenstein_product_numerator(z, z, 0.5 + 1.7j)
-        dn = eisenstein_product_numerator(z, z, 0.5 - 1.7j)
-        assert up == pytest.approx(dn, rel=1e-9)
+        n = Numerator.eisenstein_product_gl2(z, z)
+        assert n(0.5 + 1.7j) == pytest.approx(n(0.5 - 1.7j), rel=1e-9)
 
     def test_real_at_center(self):
         z = UpperHalfPoint(0.0, 1.0)
-        value = eisenstein_product_numerator(z, z, 0.5 + 1e-6j)
+        value = Numerator.eisenstein_product_gl2(z, z)(0.5 + 1e-6j)
         assert abs(value.imag) <= 1e-9 * abs(value)
 
     def test_continued_factor_cross_check(self):
-        # E(-2, i) * E(3, i): the convergent factor agrees with the coset sum
+        # E*(-2, i) * E*(3, i): the convergent factor agrees with the coset sum
         z = UpperHalfPoint(0.0, 1.0)
-        product = eisenstein_product_numerator(z, z, 3.0)
-        lattice_factor = eisenstein_gl2(EisensteinParams(3.0, mode="lattice_sum"), z)
-        continued_factor = eisenstein_gl2(EisensteinParams(-2.0), z)
+        product = Numerator.eisenstein_product_gl2(z, z)(3.0)
+        lattice_factor = xi(6.0) * eisenstein_gl2(EisensteinParams(3.0, mode="lattice_sum"), z)
+        continued_factor = xi(-4.0) * eisenstein_gl2(EisensteinParams(-2.0), z)
         assert product == pytest.approx(continued_factor * lattice_factor, rel=1e-6)
 
 
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("tau", [3.1, 16.0, 25.0, 40.0])
+    def test_completed_on_critical_line(self, tau):
+        x, y = 0.17, 1.08
+        want = mp_oracle.estar(0.5 + 1j * tau, x, y, 30)
+        got = eisenstein_gl2_completed(0.5 + 1j * tau, UpperHalfPoint(x, y))
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_array_of_s_matches_scalar_calls(self):
+        z = UpperHalfPoint(0.1, 1.05)
+        s = np.array([0.5 + 1.0j, 0.5 - 7.5j, 0.8 + 1.1j, 2.5, 0.5 + 1e-7j])
+        batch = eisenstein_gl2_completed(s, z, n_terms=12)
+        single = np.array([eisenstein_gl2_completed(v, z, n_terms=12) for v in s])
+        assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
+
+    def test_zeta_vectorized(self):
+        s = np.array([2.0, 0.5 + 14.1347j, 3.0 + 95.0j])
+        assert np.all(zeta(s) == np.array([zeta(v) for v in s]))
+
+
 def test_calibration_residual_is_tiny():
-    c1, c2 = _fourier_constants()
-    # no literature constants are hardcoded; the fit lands on clean values
-    assert abs(c1 - round(c1.real)) < 1e-9
-    assert abs(c2 - round(c2.real)) < 1e-9
+    # the least-squares fit of criterion 9 lands on the pinned constants
+    c1, c2, residual = fit_fourier_constants()
+    assert residual < 1e-9
+    assert abs(c1 - FOURIER_CONSTANTS[0]) < 1e-9
+    assert abs(c2 - FOURIER_CONSTANTS[1]) < 1e-9

@@ -44,6 +44,16 @@ class TestEisensteinProduct:
         b = n(0.5 - 2.3j)
         assert a == pytest.approx(b, rel=1e-9)
 
+    @pytest.mark.parametrize("z0", [UpperHalfPoint(0.1, 1.05), UpperHalfPoint(-0.2, 1.3)])
+    def test_batch_invariance(self, z0):
+        # a node's value does not depend on the other nodes of its batch
+        n = Numerator.eisenstein_product_gl2(z0, UpperHalfPoint(0.1, 1.05), n_terms=8)
+        s = 0.5 + 1j * np.array([0.0, 0.3, 1.7, 5.5, 6.6, 12.0, 16.0, -4.0])
+        s = np.concatenate((s, [0.2 + 0.9j, 1.3 - 0.4j]))
+        batch = n(s)
+        single = np.array([n(v) for v in s])
+        assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
+
 
 class TestDescriptors:
     @pytest.mark.parametrize(

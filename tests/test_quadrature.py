@@ -162,5 +162,15 @@ class TestRegularized:
 
     def test_symmetry_checker_scale(self):
         check_line_symmetry(Numerator.synthetic_gaussian(), 30.0)
+
+    def test_symmetry_checker_makes_one_batched_call(self):
+        calls = []
+
+        def numerator(s):
+            calls.append(np.size(s))
+            return Numerator.synthetic_gaussian()(s)
+
+        check_line_symmetry(numerator, 30.0, n_probe=64)
+        assert calls == [128]
         with pytest.raises(AsymmetricNumeratorError):
             check_line_symmetry(lambda s: np.imag(np.asarray(s)) + 1.0, 30.0)
