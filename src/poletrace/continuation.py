@@ -1,18 +1,23 @@
 """Pathwise continuation of the spectral line integrals.
 
 The pole s(w) = 1/2 + sqrt((w - 1/2)^2 + c) is continued along a w-path by
-tracking the square root of the radicand curve.  A single crossing of the
-critical line flips the branch exactly when the radicand winds around the
-origin, i.e. when the crossing height exceeds sqrt(c).  A flipped branch at
-an endpoint left of the critical line contributes the moderate-growth
-correction term
+tracking the square root of the radicand curve.  A pole sits on the critical
+line exactly when the radicand lies on the negative real axis, so every
+crossing of that cut carries the tracked pole, and its partner 1 - s(w),
+across the line; on the w-plane this happens where the path crosses the
+critical line outside the segment between the branch points 1/2 +- i sqrt(c),
+and never when it crosses inside it.  One invariant therefore decides the value: a
+correction term is owed exactly when the tracked branch ends flipped
+(``trace.final_sign == -1``), whatever the path geometry.  Paths may cross
+the critical line any number of times and end on either side of it.  The
+correction is the moderate-growth term
 
     nu = 1:   4 pi i * N(s*) / (a   (1 - 2 s*))
     nu = 2:   8 pi i * N(s*) / (a^2 (1 - 2 s*)^3)
 
-with s* the continued pole, on top of the direct line integral.  Crossing
-between the branch points leaves the branch, and hence the value, unchanged:
-the difference of the two continuations is exactly the correction term.
+with s* the continued pole, on top of the direct line integral at the path
+end; the difference of a branch-flipping and a branch-keeping continuation
+to the same end point is exactly that term.
 """
 
 from __future__ import annotations
@@ -24,13 +29,12 @@ import numpy as np
 
 from .errors import (
     InvalidPathPairError,
-    MultipleCrossingsError,
     PoleOnContourError,
     StartInLeftHalfPlaneError,
     ValidationError,
 )
 from .models import SpectralModel, radicand
-from .paths import COLLISION_TOL, BranchTrace, CurveSamples, WPath, sample_path, track_sqrt
+from .paths import BranchTrace, CurveSamples, WPath, sample_path, track_sqrt
 from .planar import planar_direct_integral, planar_regularized_integral, planar_singular_integral
 from .quadrature import check_line_symmetry, direct_line_integral
 
@@ -77,6 +81,8 @@ class ContinuationResult:
             "endpoint": [self.endpoint_value.real, self.endpoint_value.imag],
             "corrections": [c.as_dict() for c in self.corrections],
             "crossings": self.trace.cut_crossings,
+            "final_sign": self.trace.final_sign,
+            "est_error": self.est_error,
         }
 
 
@@ -88,12 +94,16 @@ def correction_coefficient(model: SpectralModel, s_star: complex) -> complex:
     return 8j * np.pi / (model.a**2 * (1.0 - 2.0 * s_star) ** 3)
 
 
-def continue_pole(
-    model: SpectralModel,
-    path: WPath,
-    step: float = PATH_STEP,
-    collision_tol: float = COLLISION_TOL,
-) -> BranchTrace:
+def _correction_term(numerator: Callable, model: SpectralModel, s_star: complex) -> CorrectionTerm:
+    return CorrectionTerm(
+        s_star=s_star,
+        nu=model.nu,
+        coefficient=correction_coefficient(model, s_star),
+        numerator_value=complex(numerator(s_star)),
+    )
+
+
+def continue_pole(model: SpectralModel, path: WPath, step: float = PATH_STEP) -> BranchTrace:
     """Track the integrand pole s(w) along a w-path.
 
     The trace's sqrt samples are of the radicand (w - 1/2)^2 + c, so the pole
@@ -104,11 +114,9 @@ def continue_pole(
         raise StartInLeftHalfPlaneError(
             f"continuation must start right of the critical line, got {path.start}"
         )
-    w_samps = sample_path(path, step)
-    q = np.asarray([radicand(model, w) for w in w_samps.samples], dtype=complex)
+    q = radicand(model, sample_path(path, step).samples)
     q_samples = CurveSamples(q, step_control=max(step, float(np.max(np.abs(np.diff(q))))))
-    return track_sqrt(q_samples, initial_branch=+1, collision_tol=collision_tol,
-                      w_samples=w_samps)
+    return track_sqrt(q_samples, initial_branch=+1)
 
 
 def pole_endpoint(trace: BranchTrace) -> complex:
@@ -116,14 +124,26 @@ def pole_endpoint(trace: BranchTrace) -> complex:
     return 0.5 + complex(trace.sqrt_samples.samples[-1])
 
 
-def _require_single_crossing(path: WPath) -> int:
-    crossings = path.critical_line_crossings()
-    if len(crossings) > 1:
-        raise MultipleCrossingsError(
-            f"path crosses the critical line {len(crossings)} times; only single "
-            "crossings are supported"
+def _require_endpoint_off_line(w_end: complex) -> None:
+    if abs(w_end.real - 0.5) <= ENDPOINT_MARGIN:
+        raise PoleOnContourError(
+            f"endpoint {w_end} within {ENDPOINT_MARGIN} of the critical line"
         )
-    return len(crossings)
+
+
+def _continued(
+    numerator: Callable, model: SpectralModel, trace: BranchTrace, direct: complex, err: float
+) -> ContinuationResult:
+    """The direct value at the path end plus the term a flipped branch owes."""
+    corrections: list[CorrectionTerm] = []
+    endpoint_value = direct
+    if trace.final_sign == -1:
+        term = _correction_term(numerator, model, pole_endpoint(trace))
+        corrections.append(term)
+        endpoint_value = direct + term.term_value
+    return ContinuationResult(
+        endpoint_value=endpoint_value, corrections=corrections, trace=trace, est_error=err
+    )
 
 
 def continue_integral(
@@ -132,42 +152,20 @@ def continue_integral(
     path: WPath,
     T: float = 40.0,
     tol: float = 1e-11,
-    step: float = PATH_STEP,
-    endpoint_margin: float = ENDPOINT_MARGIN,
 ) -> ContinuationResult:
     """Continue the spectral line integral along a w-path.
 
     The endpoint value is the direct quadrature at the path end plus, when
-    the tracked pole crossed the branch cut into the left half plane, the
-    closed-form correction term at the continued pole.
+    the tracked branch ends flipped, the closed-form correction term at the
+    continued pole.  The path may cross the critical line any number of
+    times; its end must stay :data:`ENDPOINT_MARGIN` away from the line.
     """
-    _require_single_crossing(path)
     w_end = path.end
-    if abs(w_end.real - 0.5) <= endpoint_margin:
-        raise PoleOnContourError(
-            f"endpoint {w_end} within {endpoint_margin} of the critical line"
-        )
+    _require_endpoint_off_line(w_end)
     check_line_symmetry(numerator, T)
-
-    trace = continue_pole(model, path, step=step)
+    trace = continue_pole(model, path)
     direct, err = direct_line_integral(numerator, model, w_end, T=T, tol=tol)
-
-    corrections: list[CorrectionTerm] = []
-    endpoint_value = direct
-    if trace.final_sign == -1 and w_end.real < 0.5:
-        s_star = pole_endpoint(trace)
-        term = CorrectionTerm(
-            s_star=s_star,
-            nu=model.nu,
-            coefficient=correction_coefficient(model, s_star),
-            numerator_value=complex(numerator(s_star)),
-        )
-        corrections.append(term)
-        endpoint_value = direct + term.term_value
-
-    return ContinuationResult(
-        endpoint_value=endpoint_value, corrections=corrections, trace=trace, est_error=err
-    )
+    return _continued(numerator, model, trace, direct, err)
 
 
 def branching_difference(
@@ -178,55 +176,40 @@ def branching_difference(
     path2: WPath,
     T: float = 40.0,
     tol: float = 1e-11,
-    step: float = PATH_STEP,
 ) -> tuple[complex, CorrectionTerm]:
     """Difference of the continuations along an outside and an inside path.
 
-    ``path1`` must cross the critical line above the branch points in
-    magnitude, ``path2`` below, and both must terminate at ``w_end`` in the
-    left half plane.  Returns the numerically computed difference and,
-    independently, the closed-form correction term at the continued pole
+    Both paths must end at ``w_end``.  The pair is accepted when the tracked
+    branch says so: ``path1`` ends flipped (``final_sign == -1``) and
+    ``path2`` ends on the branch it started on.  Either path may cross the
+    critical line any number of times.  The two continuations share their
+    end point, so the symmetry probe and the direct integral run once.
+    Returns the numerically computed difference and, independently, the
+    closed-form correction term at the continued pole
     s* = 1/2 - sqrt((w_end - 1/2)^2 + c); the two agree for a correct
     continuation pipeline.
     """
     w_end = complex(w_end)
-    root_c = np.sqrt(model.c) if model.c > 0 else 0.0
-    if not root_c > 0:
-        raise InvalidPathPairError(
-            "branching difference needs sqrt(c) > 0 (nontrivial branch points)"
-        )
-    for path, expect_outside in ((path1, True), (path2, False)):
+    for path in (path1, path2):
         if path.end != w_end:
             raise InvalidPathPairError(f"path {path.label!r} does not end at w_end = {w_end}")
-        crossings = path.critical_line_crossings()
-        if len(crossings) != 1:
-            raise InvalidPathPairError(
-                f"path {path.label!r} must cross the critical line exactly once"
-            )
-        height = abs(crossings[0].imag)
-        if expect_outside and height <= root_c:
-            raise InvalidPathPairError(
-                f"path {path.label!r} crosses at height {height:g} <= sqrt(c) = {root_c:g}"
-            )
-        if not expect_outside and height >= root_c:
-            raise InvalidPathPairError(
-                f"path {path.label!r} crosses at height {height:g} >= sqrt(c) = {root_c:g}"
-            )
-    if w_end.real >= 0.5:
-        raise InvalidPathPairError(f"w_end = {w_end} must lie left of the critical line")
+    _require_endpoint_off_line(w_end)
+    outside, inside = continue_pole(model, path1), continue_pole(model, path2)
+    if outside.final_sign != -1 or inside.final_sign != +1:
+        raise InvalidPathPairError(
+            f"path {path1.label!r} must flip the tracked branch and path {path2.label!r} "
+            f"keep it; their final signs are {outside.final_sign:+d} and "
+            f"{inside.final_sign:+d}"
+        )
 
-    r1 = continue_integral(numerator, model, path1, T=T, tol=tol, step=step)
-    r2 = continue_integral(numerator, model, path2, T=T, tol=tol, step=step)
+    check_line_symmetry(numerator, T)
+    direct, err = direct_line_integral(numerator, model, w_end, T=T, tol=tol)
+    r1 = _continued(numerator, model, outside, direct, err)
+    r2 = _continued(numerator, model, inside, direct, err)
     difference = r1.endpoint_value - r2.endpoint_value
 
     s_star = 0.5 - np.sqrt(radicand(model, w_end))
-    term = CorrectionTerm(
-        s_star=s_star,
-        nu=model.nu,
-        coefficient=correction_coefficient(model, s_star),
-        numerator_value=complex(numerator(s_star)),
-    )
-    return difference, term
+    return difference, _correction_term(numerator, model, s_star)
 
 
 @dataclass

@@ -342,14 +342,39 @@ def _divisors(n_terms: int) -> tuple[np.ndarray, ...]:
     return tuple(np.array(divs) for divs in table)
 
 
+#: largest accepted Debye estimate exp(-phi) of the first omitted Fourier term
+TRUNCATION_TOL = 1e-11
+
+
+def _require_converged(s: np.ndarray, y: float, n_terms: int) -> None:
+    """Refuse a truncation whose first omitted term is not negligible.
+
+    K_(i tau)(X) decays like exp(-phi) with phi = sqrt(X^2 - tau^2) -
+    tau arccos(tau / X) past its turning point X = tau (Debye), and does not
+    decay before it.  With X = 2 pi (n_terms + 1) y for the first omitted
+    term and phi decreasing in tau, the largest |Im s| decides.
+    """
+    tau = float(np.max(np.abs(s.imag)))
+    x = 2.0 * np.pi * (n_terms + 1) * y
+    phi = math.sqrt(x * x - tau * tau) - tau * math.acos(tau / x) if x > tau else 0.0
+    if math.exp(-phi) > TRUNCATION_TOL:
+        raise DomainError(
+            f"n_terms = {n_terms} Fourier terms do not converge at y = {y:g} for "
+            f"|Im s| = {tau:g}: the first omitted term is about {math.exp(-phi):.2g} "
+            f"(limit {TRUNCATION_TOL:g}); raise n_terms or move z up"
+        )
+
+
 def _fourier_pieces(s: np.ndarray, z: UpperHalfPoint, n_terms: int):
     """xi(2s), xi(2s-1) and the Bessel sum of the Fourier expansion, per s.
 
     The Bessel sum is sum_n n^(s-1/2) sigma_(1-2s)(n) K_(s-1/2)(2 pi n y)
     cos(2 pi n x); it is invariant under s -> 1-s.  Arrays stay of length
     len(s) (times the Bessel path nodes inside bessel_k): one Fourier term per
-    loop step.
+    loop step.  Raises DomainError when the first omitted term is not
+    negligible (see :func:`_require_converged`).
     """
+    _require_converged(s, z.y, n_terms)
     order = s - 0.5
     log_n = np.log(np.arange(1, n_terms + 1))
     # overflow shows up as a non-finite piece and is reported below

@@ -27,11 +27,7 @@ class StartInLeftHalfPlaneError(ValidationError):
 
 
 class InvalidPathPairError(ValidationError):
-    """Path pair does not satisfy the outside/inside crossing preconditions."""
-
-
-class MultipleCrossingsError(ValidationError):
-    """Path crosses the critical line more than once."""
+    """Path pair is not one branch-flipping and one branch-keeping path to w_end."""
 
 
 class DegenerateParametrizationError(ValidationError):

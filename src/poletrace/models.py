@@ -264,9 +264,12 @@ def eigenvalue_minparabolic_planar(eta_norm_sq: float, rho_norm_sq: float) -> fl
     return -(eta_norm_sq + rho_norm_sq)
 
 
-def radicand(model: SpectralModel, w: complex) -> complex:
-    """(w - 1/2)^2 + c, the quantity under the square root in the pole formula."""
-    return (complex(w) - 0.5) ** 2 + model.c
+def radicand(model: SpectralModel, w):
+    """(w - 1/2)^2 + c, the quantity under the square root in the pole formula.
+
+    Accepts an array of w values.
+    """
+    return (np.asarray(w, dtype=complex) - 0.5) ** 2 + model.c
 
 
 def poles(model: SpectralModel, w: complex) -> PolePair:

@@ -14,9 +14,8 @@ closed-form criterion for whether that parabola encloses the origin.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (
     InvalidPathError,
 )
 
-#: default tolerance for "the radicand hits the origin"
+#: tolerance for "the radicand hits the origin"
 COLLISION_TOL = 1e-8
 #: bisection depth limit for continuity refinement
 REFINE_DEPTH = 40
@@ -63,28 +62,6 @@ class WPath:
     def end(self) -> complex:
         return self.points[-1]
 
-    def arc_length(self) -> float:
-        return float(sum(abs(b - a) for a, b in zip(self.points[:-1], self.points[1:])))
-
-    def critical_line_crossings(self, re_line: float = 0.5) -> list[complex]:
-        """Points where the path crosses the vertical line Re = re_line.
-
-        Used only for precondition validation; branch decisions come from the
-        tracked radicand, never from path geometry.
-        """
-        crossings = []
-        for a, b in zip(self.points[:-1], self.points[1:]):
-            xa, xb = a.real - re_line, b.real - re_line
-            if xa == 0.0 and xb == 0.0:
-                continue
-            if (xa > 0) != (xb > 0) or xa == 0.0 or xb == 0.0:
-                # count a touch only when the sign actually changes
-                if (xa > 0) == (xb > 0):
-                    continue
-                t = xa / (xa - xb)
-                crossings.append(a + t * (b - a))
-        return crossings
-
 
 @dataclass
 class CurveSamples:
@@ -110,13 +87,6 @@ class CurveSamples:
             return 0.0
         return float(np.max(np.abs(np.diff(self.samples))))
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "re", "im"])
-            for k, z in enumerate(self.samples):
-                writer.writerow([k, f"{z.real:.17g}", f"{z.imag:.17g}"])
-
 
 @dataclass
 class BranchTrace:
@@ -128,7 +98,6 @@ class BranchTrace:
     returns to the branch it started on, -1 otherwise.
     """
 
-    w_samples: Optional[CurveSamples]
     radicand_samples: CurveSamples
     sqrt_samples: CurveSamples
     cut_crossings: int
@@ -177,12 +146,7 @@ def _signed_cut_crossings(z: np.ndarray) -> int:
     return int(np.sum(sign[on_ray]))
 
 
-def track_sqrt(
-    radicand: CurveSamples,
-    initial_branch: int,
-    collision_tol: float = COLLISION_TOL,
-    w_samples: Optional[CurveSamples] = None,
-) -> BranchTrace:
+def track_sqrt(radicand: CurveSamples, initial_branch: int) -> BranchTrace:
     """Track a continuous square root along a sampled radicand curve.
 
     The starting value is ``initial_branch`` times the principal root of the
@@ -197,9 +161,9 @@ def track_sqrt(
     if initial_branch not in (+1, -1):
         raise BranchAmbiguityError(f"initial_branch must be +1 or -1, got {initial_branch}")
     z = np.asarray(radicand.samples, dtype=complex)
-    if np.min(np.abs(z)) <= collision_tol:
+    if np.min(np.abs(z)) <= COLLISION_TOL:
         raise BranchPointCollisionError(
-            f"radicand sample within {collision_tol:g} of the branch point"
+            f"radicand sample within {COLLISION_TOL:g} of the branch point"
         )
     z0 = z[0]
     if z0.imag == 0.0 and z0.real < 0.0:
@@ -207,9 +171,9 @@ def track_sqrt(
 
     for depth in range(REFINE_DEPTH + 1):
         dmin = _segment_min_distance_to_origin(z[:-1], z[1:])
-        if np.min(dmin) <= collision_tol:
+        if np.min(dmin) <= COLLISION_TOL:
             raise BranchPointCollisionError(
-                f"radicand curve passes within {collision_tol:g} of the branch point"
+                f"radicand curve passes within {COLLISION_TOL:g} of the branch point"
             )
         p = np.sqrt(z)
         diff = np.abs(p[1:] - p[:-1])
@@ -225,10 +189,6 @@ def track_sqrt(
         idx = np.nonzero(ambiguous)[0]
         mids = 0.5 * (z[idx] + z[idx + 1])
         z = np.insert(z, idx + 1, mids)
-        if w_samples is not None:
-            wz = np.asarray(w_samples.samples, dtype=complex)
-            wmids = 0.5 * (wz[idx] + wz[idx + 1])
-            w_samples = CurveSamples(np.insert(wz, idx + 1, wmids), w_samples.step_control)
 
     flip = diff > summ  # True where the chord crosses the cut
     eps = initial_branch * np.concatenate(([1], np.cumprod(np.where(flip, -1, 1))))
@@ -239,7 +199,6 @@ def track_sqrt(
 
     step = float(np.max(np.abs(np.diff(z)))) if len(z) > 1 else 0.0
     return BranchTrace(
-        w_samples=w_samples,
         radicand_samples=CurveSamples(z, step_control=max(step, radicand.step_control)),
         sqrt_samples=CurveSamples(roots, step_control=float(np.max(np.abs(np.diff(roots))))),
         cut_crossings=crossings,

@@ -66,7 +66,8 @@ class TestContinueAndDiff:
                      "--path", OUTSIDE, "--out", str(out)])
         assert code == 0
         payload = json.loads((out / "continuation.json").read_text())
-        assert set(payload) == {"endpoint", "corrections", "crossings"}
+        assert set(payload) == {"endpoint", "corrections", "crossings", "final_sign", "est_error"}
+        assert payload["final_sign"] == -1
         assert len(payload["corrections"]) == 1
         correction = payload["corrections"][0]
         assert set(correction) == {"s_star", "nu", "coefficient", "numerator_value", "term_value"}
@@ -184,6 +185,21 @@ class TestEvalEisenstein:
         want = mp_oracle.estar(0.5 + 40j, 0.0, 1.0, 30)
         assert abs(value.real - want.real) <= 1e-9 * abs(want.real)
         assert want.real == pytest.approx(-1.574e-27, rel=1e-3)
+
+    def test_truncated_expansion_is_refused(self, capsys):
+        # at y = 0.01 the 30 Fourier terms have not started to decay
+        assert main(["eval-eisenstein", "--s", "0.5,3", "--z", "0,0.01", "--completed"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_terms = 30" in captured.err and "y = 0.01" in captured.err
+
+    def test_equivalent_point_high_in_the_plane(self, capsys):
+        # -1/z for z = 0.01i: the value the refused call would have to match
+        assert main(["eval-eisenstein", "--s", "0.5,3", "--z", "0,100", "--completed"]) == 0
+        value = complex(*map(float, capsys.readouterr().out.split()))
+        assert f"{value.real:.4f}" == "-0.0020"
+        want = mp_oracle.estar(0.5 + 3j, 0.0, 100.0, 1)
+        assert abs(value - want) <= 1e-9 * abs(want)
 
     def test_overflow_is_a_numerical_failure(self, capsys):
         # xi(400) overflows: no nan is printed

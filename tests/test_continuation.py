@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import poletrace.continuation as continuation
 from poletrace.continuation import (
     branching_difference,
     continue_integral,
@@ -12,14 +15,13 @@ from poletrace.continuation import (
 from poletrace.eisenstein import UpperHalfPoint
 from poletrace.errors import (
     InvalidPathPairError,
-    MultipleCrossingsError,
     PoleOnContourError,
     StartInLeftHalfPlaneError,
 )
-from poletrace.models import GrossencharParams, SpectralModel, poles, radicand
+from poletrace.models import GrossencharParams, SpectralModel, denominator, poles, radicand
 from poletrace.numerators import Numerator
 from poletrace.paths import WPath
-from poletrace.quadrature import adaptive_line_quadrature
+from poletrace.quadrature import adaptive_line_quadrature, adaptive_quadrature
 
 
 def hilbert(t_norm: float) -> SpectralModel:
@@ -74,7 +76,6 @@ def four_step_endpoint(numerator, model, w_end, T=40.0, tol=1e-12):
     rational function of it), then undo the regularization with the pole
     subtraction evaluated at the continued pole.
     """
-    from poletrace.models import denominator
     from poletrace.quadrature import singular_line_tail
 
     s_cont = 0.5 - np.sqrt(radicand(model, w_end))
@@ -88,6 +89,39 @@ def four_step_endpoint(numerator, model, w_end, T=40.0, tol=1e-12):
     principal = body - n_star * singular_line_tail(model, w_end, T)
     continued_singular = 2j * np.pi / (model.a * (1.0 - 2.0 * s_cont))
     return principal + n_star * continued_singular
+
+
+def deformed_contour_integral(numerator, model, w_end, T):
+    """Independent truth for a continuation that ends on the flipped branch.
+
+    The contour is the critical line dragged by the poles: the continued pole
+    1/2 - sqrt(q), now left of the line, is kept to the contour's right and
+    its partner 1/2 + sqrt(q) to its left, by rectangular detours.  Plain
+    quadrature along the pieces; no residue calculus or closed forms.
+    """
+    root = np.sqrt(radicand(model, w_end))
+    continued, partner = 0.5 - root, 0.5 + root
+    half = min(0.6, 0.4 * abs(continued.imag - partner.imag))
+    detours = sorted(
+        [(continued, continued.real - 0.8), (partner, partner.real + 0.8)],
+        key=lambda detour: detour[0].imag,
+    )
+    contour = [0.5 - 1j * T]
+    for pole, reach in detours:
+        lo, hi = pole.imag - half, pole.imag + half
+        contour += [0.5 + 1j * lo, reach + 1j * lo, reach + 1j * hi, 0.5 + 1j * hi]
+    contour.append(0.5 + 1j * T)
+
+    total = 0.0 + 0.0j
+    for z0, z1 in zip(contour[:-1], contour[1:]):
+        dz = z1 - z0
+        seg, _ = adaptive_quadrature(
+            lambda t, z0=z0, dz=dz: np.asarray(numerator(z0 + np.asarray(t) * dz))
+            / denominator(model, z0 + np.asarray(t) * dz, w_end) ** model.nu * dz,
+            0.0, 1.0, tol=1e-13,
+        )
+        total += seg
+    return total
 
 
 class TestContinueIntegral:
@@ -128,46 +162,23 @@ class TestContinueIntegral:
         oracle = four_step_endpoint(numerator, model, w_second)
         assert result.endpoint_value == pytest.approx(oracle, rel=1e-9)
 
-    def test_deformed_contour_oracle(self):
-        # independent truth check: the continuation along an outside path
-        # equals the integral over a contour dragged by the poles, with the
-        # continued pole kept to its right and the other to its left;
-        # no residue calculus or closed forms are involved on the oracle side
-        from poletrace.models import denominator
-        from poletrace.quadrature import adaptive_quadrature
-
+    @pytest.mark.parametrize(
+        "path",
+        [
+            crossing_path(2.0, 0.25 + 2.5j),
+            # crosses above the branch point, comes back between the branch
+            # points and ends right of the line with the branch still flipped
+            WPath((1.2 + 0j, 1.2 + 2j, 0.2 + 2j, 0.2 + 0.5j, 1.2 + 0.5j)),
+        ],
+        ids=["single-crossing", "multi-crossing"],
+    )
+    def test_deformed_contour_oracle(self, path):
         model = hilbert(1.0)
         numerator = Numerator.synthetic_gaussian()
-        w_end = 0.25 + 2.5j
-        result = continue_integral(numerator, model, crossing_path(2.0, w_end), T=60.0)
-
-        root = np.sqrt(radicand(model, w_end))
-        upper = (0.5 - root).imag     # continued pole, upper left
-        lower = (0.5 + root).imag     # other pole, lower right
-        contour = [
-            0.5 - 60j,
-            0.5 + 1j * (lower - 0.6), 1.4 + 1j * (lower - 0.6),
-            1.4 + 1j * (lower + 0.6), 0.5 + 1j * (lower + 0.6),
-            0.5 + 1j * (upper - 0.6), -0.6 + 1j * (upper - 0.6),
-            -0.6 + 1j * (upper + 0.6), 0.5 + 1j * (upper + 0.6),
-            0.5 + 60j,
-        ]
-        oracle = 0.0 + 0.0j
-        for z0, z1 in zip(contour[:-1], contour[1:]):
-            dz = z1 - z0
-            seg, _ = adaptive_quadrature(
-                lambda t, z0=z0, dz=dz: np.asarray(numerator(z0 + np.asarray(t) * dz))
-                / denominator(model, z0 + np.asarray(t) * dz, w_end) * dz,
-                0.0, 1.0, tol=1e-13,
-            )
-            oracle += seg
+        result = continue_integral(numerator, model, path, T=60.0)
+        assert len(result.corrections) == 1
+        oracle = deformed_contour_integral(numerator, model, path.end, 60.0)
         assert result.endpoint_value == pytest.approx(oracle, rel=1e-9)
-
-    def test_multi_crossing_rejected(self):
-        model = hilbert(1.0)
-        path = WPath((1.2 + 0j, 0.2 + 2j, 1.2 + 3j, 0.2 + 4j))
-        with pytest.raises(MultipleCrossingsError):
-            continue_integral(Numerator.synthetic_gaussian(), model, path)
 
     def test_endpoint_margin_enforced(self):
         model = hilbert(1.0)
@@ -227,6 +238,115 @@ class TestBranchingDifference:
                 Numerator.synthetic_gaussian(), model, 0.25 + 2.5j,
                 crossing_path(2.0, 0.25 + 2.5j), crossing_path(0.5, 0.3 + 2.5j),
             )
+
+
+    def test_pair_ending_right_of_the_line(self):
+        # the outside path flips the branch and then crosses back between the
+        # branch points; the traces, not the geometry, accept the pair
+        model = hilbert(1.0)
+        numerator = Numerator.synthetic_gaussian()
+        w_end = 1.2 + 0.5j
+        outside = WPath((1.2 + 0j, 1.2 + 2j, 0.2 + 2j, 0.2 + 0.5j, w_end))
+        inside = WPath((1.2 + 0j, w_end))
+        diff, term = branching_difference(numerator, model, w_end, outside, inside, T=40.0)
+        assert term.s_star == pytest.approx(0.5 - np.sqrt(radicand(model, w_end)), rel=1e-14)
+        assert diff == pytest.approx(term.term_value, rel=1e-9)
+
+    def test_one_probe_and_one_direct_integral(self, monkeypatch):
+        calls = {"direct_line_integral": 0, "check_line_symmetry": 0}
+
+        def counted(name):
+            original = getattr(continuation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(continuation, name, counted(name))
+        w_end = 0.25 + 2.5j
+        branching_difference(
+            Numerator.synthetic_gaussian(), hilbert(1.0), w_end,
+            crossing_path(2.0, w_end), crossing_path(0.3, w_end), T=40.0,
+        )
+        assert calls == {"direct_line_integral": 1, "check_line_symmetry": 1}
+
+
+# -- the branch invariant as properties ------------------------------------
+#
+# A model is drawn with its branch-point height r = sqrt(c); heights are drawn
+# as multiples of r, clear of it, so no path runs into a branch point.
+
+models = st.one_of(
+    st.floats(0.6, 1.5).map(hilbert),
+    st.floats(0.0, 2.0).map(SpectralModel.gl3_cuspidal),
+)
+outside = st.floats(1.2, 2.5)
+inside = st.floats(0.2, 0.8)
+left_x = st.floats(0.1, 0.35)
+right_x = st.floats(0.75, 1.1)
+
+
+def _value(model, path):
+    return continue_integral(Numerator.synthetic_gaussian(), model, path, T=40.0)
+
+
+class TestBranchInvariantProperties:
+    @given(model=models, heights=st.tuples(outside, outside) | st.tuples(inside, inside),
+           excursion=outside, x_end=left_x, y_end=st.floats(0.3, 2.5))
+    def test_homotopic_paths_agree(self, model, heights, excursion, x_end, y_end):
+        # both paths cross above the branch point, or both between the branch
+        # points; the second first makes an out-and-back trip across the line
+        # above the branch point, which does not change its homotopy class
+        r = np.sqrt(model.c)
+        crossing = heights[0] > 1.0
+        h1, h2 = heights[0] * r, heights[1] * r
+        w_end = complex(x_end, y_end * r)
+        top = excursion * r
+        loop = [1.2 + 0j, 1.2 + 1j * top, 0.2 + 1j * top, 0.2 + 1j * (top + 0.4),
+                1.2 + 1j * (top + 0.4)]
+        plain = _value(model, crossing_path(h1, w_end))
+        winding = _value(model, WPath(tuple(loop) + crossing_path(h2, w_end, 1.2 + 0j).points[1:]))
+        assert len(winding.corrections) == len(plain.corrections) == int(crossing)
+        assert winding.endpoint_value == pytest.approx(plain.endpoint_value, rel=1e-8)
+
+    @given(model=models, sign=st.sampled_from([1, -1]), f_out=outside, f_in=inside,
+           x_left=left_x, x_end=right_x)
+    def test_loop_around_one_branch_point_adds_the_correction(self, model, sign, f_out,
+                                                              f_in, x_left, x_end):
+        # out across the line beyond the branch point 1/2 + sign i r, back
+        # between the branch points: the path ends right of the line on the
+        # flipped branch
+        r = np.sqrt(model.c)
+        h_out, h_in = sign * f_out * r, sign * f_in * r
+        w_end = complex(x_end, h_in)
+        loop = WPath((1.2 + 0j, 1.2 + 1j * h_out, x_left + 1j * h_out, x_left + 1j * h_in,
+                      w_end))
+        numerator = Numerator.synthetic_gaussian()
+        looped = _value(model, loop)
+        straight = _value(model, WPath((1.2 + 0j, w_end)))
+        assert looped.trace.final_sign == -1 and straight.corrections == []
+        s_star = 0.5 - np.sqrt(radicand(model, w_end))
+        term = complex(numerator(s_star)) * correction_coefficient(model, s_star)
+        assert looped.corrections[0].s_star == pytest.approx(s_star, rel=1e-12)
+        assert looped.endpoint_value - straight.endpoint_value == pytest.approx(term, rel=1e-10)
+
+    @given(model=models, f_top=outside, f_bottom=outside, x_left=left_x, x_end=right_x)
+    def test_loop_around_both_branch_points_adds_none(self, model, f_top, f_bottom,
+                                                      x_left, x_end):
+        # the radicand winds twice around the origin: two cut crossings, the
+        # branch comes back, and the value is the direct one
+        r = np.sqrt(model.c)
+        w_end = complex(x_end, -f_bottom * r)
+        loop = WPath((1.2 + 0j, 1.2 + 1j * f_top * r, x_left + 1j * f_top * r,
+                      x_left + 1j * w_end.imag, w_end))
+        looped = _value(model, loop)
+        straight = _value(model, WPath((1.2 + 0j, w_end)))
+        assert abs(looped.trace.cut_crossings) == 2
+        assert looped.corrections == []
+        assert looped.endpoint_value == pytest.approx(straight.endpoint_value, rel=1e-12)
 
 
 class TestContinuationProperties:

@@ -195,6 +195,30 @@ class TestCompleted:
         assert above == pytest.approx(below, rel=1e-9)
 
 
+class TestTruncation:
+    def test_every_evaluator_refuses_a_truncated_expansion(self):
+        # at y = 0.01 the 30 Fourier terms have not started to decay
+        z = UpperHalfPoint(0.0, 0.01)
+        with pytest.raises(DomainError, match="n_terms = 30"):
+            eisenstein_gl2_completed(0.5 + 3j, z)
+        with pytest.raises(DomainError, match="y = 0.01"):
+            eisenstein_gl2(EisensteinParams(0.5 + 3j), z)
+        with pytest.raises(DomainError):
+            Numerator.eisenstein_product_gl2(z, z)(np.array([0.5 + 3j]))
+
+    def test_tightest_benchmark_input_is_accepted(self):
+        # y = 0.95, n_terms = 8, |Im s| = 16: the Debye exponent is 31
+        value = eisenstein_gl2_completed(0.5 + 16j, UpperHalfPoint(0.0, 0.95), n_terms=8)
+        want = mp_oracle.estar(0.5 + 16j, 0.0, 0.95, 40)
+        assert abs(value - want) <= 1e-13 * abs(want)
+
+    def test_largest_im_s_of_a_batch_decides(self):
+        z = UpperHalfPoint(0.0, 0.95)
+        eisenstein_gl2_completed(np.array([0.5 + 16j, 0.5 + 20j]), z, n_terms=8)
+        with pytest.raises(DomainError, match=r"\|Im s\| = 24"):
+            eisenstein_gl2_completed(np.array([0.5 + 16j, 0.5 - 24j]), z, n_terms=8)
+
+
 class TestProductNumerator:
     def test_symmetry_at_coincident_points(self):
         z = UpperHalfPoint(0.0, 1.0)

@@ -16,6 +16,7 @@ from poletrace.models import (
     grossenchar_from_unit,
     lambda_w,
     poles,
+    radicand,
 )
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -170,6 +171,18 @@ class TestPoles:
         for _ in range(50):
             w = complex(rng.uniform(0.51, 3.0), rng.uniform(-3.0, 3.0))
             assert poles(model, w).s_plus.real > 0.5
+
+
+class TestRadicand:
+    def test_array_matches_scalar_calls(self):
+        # the array square may round differently from the scalar one: allow
+        # a few ulps of the terms being added
+        rng = np.random.default_rng(5)
+        w = rng.uniform(-3.0, 3.0, 200) + 1j * rng.uniform(-3.0, 3.0, 200)
+        for model in (SpectralModel.gl2q(), hilbert(1.3), SpectralModel.gl3_cuspidal(0.7)):
+            scalar = np.array([radicand(model, wk) for wk in w])
+            scale = np.abs(w - 0.5) ** 2 + model.c
+            assert np.all(np.abs(radicand(model, w) - scalar) <= 4 * np.finfo(float).eps * scale)
 
 
 class TestBranchPoints:

@@ -27,12 +27,6 @@ class TestWPath:
         with pytest.raises(InvalidPathError):
             WPath((1 + 0j, 1 + 0j, 2 + 0j))
 
-    def test_crossing_detection(self):
-        path = WPath((1.2 + 0j, 1.2 + 2j, 0.25 + 2j, 0.25 + 2.5j))
-        crossings = path.critical_line_crossings()
-        assert len(crossings) == 1
-        assert crossings[0] == pytest.approx(0.5 + 2j)
-
 
 class TestSamplePath:
     def test_single_segment(self):
@@ -174,13 +168,3 @@ class TestCrossesOrigin:
                 trace = track_sqrt(samples, +1)
                 assert crosses_origin(t_norm, alpha) == (trace.cut_crossings % 2 != 0)
 
-
-class TestCurveSamplesCsv:
-    def test_write_csv(self, tmp_path):
-        cs = CurveSamples(np.array([1 + 2j, 3 - 4j]), 0.5)
-        target = tmp_path / "samples.csv"
-        cs.write_csv(target)
-        lines = target.read_text().strip().splitlines()
-        assert lines[0] == "k,re,im"
-        assert lines[1].startswith("0,1,2")
-        assert lines[2].startswith("1,3,-4")
