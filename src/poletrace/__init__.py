@@ -40,17 +40,12 @@ from .paths import (
     track_sqrt,
 )
 from .planar import (
+    RegularizedResult,
     circle_average,
     planar_direct_integral,
     planar_regularized_integral,
     planar_singular_integral,
 )
-from .quadrature import (
-    LineIntegrandSpec,
-    RegularizedResult,
-    adaptive_line_quadrature,
-    regularized_line_integral,
-    singular_line_integral,
-)
+from .quadrature import adaptive_line_quadrature, singular_line_integral
 
 __version__ = "0.1.0"

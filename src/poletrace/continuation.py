@@ -38,7 +38,7 @@ from .paths import BranchTrace, CurveSamples, WPath, sample_path, track_sqrt
 from .planar import planar_direct_integral, planar_regularized_integral, planar_singular_integral
 from .quadrature import check_line_symmetry, direct_line_integral
 
-#: minimum distance of an endpoint from the critical line
+#: minimum distance from the critical line of the poles at the path end
 ENDPOINT_MARGIN = 0.05
 #: default sampling step along w-paths
 PATH_STEP = 0.01
@@ -115,8 +115,7 @@ def continue_pole(model: SpectralModel, path: WPath, step: float = PATH_STEP) ->
             f"continuation must start right of the critical line, got {path.start}"
         )
     q = radicand(model, sample_path(path, step).samples)
-    q_samples = CurveSamples(q, step_control=max(step, float(np.max(np.abs(np.diff(q))))))
-    return track_sqrt(q_samples, initial_branch=+1)
+    return track_sqrt(CurveSamples(q), initial_branch=+1)
 
 
 def pole_endpoint(trace: BranchTrace) -> complex:
@@ -124,10 +123,19 @@ def pole_endpoint(trace: BranchTrace) -> complex:
     return 0.5 + complex(trace.sqrt_samples.samples[-1])
 
 
-def _require_endpoint_off_line(w_end: complex) -> None:
-    if abs(w_end.real - 0.5) <= ENDPOINT_MARGIN:
+def _require_settings(T: float, tol: float) -> None:
+    for name, value in (("T", T), ("tol", tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_poles_off_line(model: SpectralModel, w_end: complex) -> None:
+    """The poles 1/2 +- sqrt(q) at the path end must keep clear of the line."""
+    root = np.sqrt(complex(radicand(model, w_end)))
+    if abs(root.real) <= ENDPOINT_MARGIN:
         raise PoleOnContourError(
-            f"endpoint {w_end} within {ENDPOINT_MARGIN} of the critical line"
+            f"poles 1/2 +- ({root:.6g}) at endpoint {w_end} lie within "
+            f"{ENDPOINT_MARGIN} of the critical line"
         )
 
 
@@ -158,10 +166,12 @@ def continue_integral(
     The endpoint value is the direct quadrature at the path end plus, when
     the tracked branch ends flipped, the closed-form correction term at the
     continued pole.  The path may cross the critical line any number of
-    times; its end must stay :data:`ENDPOINT_MARGIN` away from the line.
+    times; the poles at its end must stay :data:`ENDPOINT_MARGIN` away from
+    the line.
     """
+    _require_settings(T, tol)
     w_end = path.end
-    _require_endpoint_off_line(w_end)
+    _require_poles_off_line(model, w_end)
     check_line_symmetry(numerator, T)
     trace = continue_pole(model, path)
     direct, err = direct_line_integral(numerator, model, w_end, T=T, tol=tol)
@@ -189,11 +199,12 @@ def branching_difference(
     s* = 1/2 - sqrt((w_end - 1/2)^2 + c); the two agree for a correct
     continuation pipeline.
     """
+    _require_settings(T, tol)
     w_end = complex(w_end)
     for path in (path1, path2):
         if path.end != w_end:
             raise InvalidPathPairError(f"path {path.label!r} does not end at w_end = {w_end}")
-    _require_endpoint_off_line(w_end)
+    _require_poles_off_line(model, w_end)
     outside, inside = continue_pole(model, path1), continue_pole(model, path2)
     if outside.final_sign != -1 or inside.final_sign != +1:
         raise InvalidPathPairError(

@@ -65,14 +65,9 @@ class WPath:
 
 @dataclass
 class CurveSamples:
-    """Ordered complex samples of a curve with a step-size guarantee.
-
-    ``step_control`` bounds the modulus of the difference between
-    consecutive samples.
-    """
+    """Ordered complex samples of a curve."""
 
     samples: np.ndarray
-    step_control: float
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
@@ -113,7 +108,7 @@ def sample_path(path: WPath, step: float) -> CurveSamples:
         n = max(1, int(np.ceil(abs(b - a) / step - 1e-12)))
         t = np.linspace(0.0, 1.0, n + 1)[1:]
         pieces.append(a + t * (b - a))
-    return CurveSamples(np.concatenate(pieces), step_control=float(step))
+    return CurveSamples(np.concatenate(pieces))
 
 
 def _segment_min_distance_to_origin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,10 +192,9 @@ def track_sqrt(radicand: CurveSamples, initial_branch: int) -> BranchTrace:
     crossings = _signed_cut_crossings(z)
     final_sign = +1 if crossings % 2 == 0 else -1
 
-    step = float(np.max(np.abs(np.diff(z)))) if len(z) > 1 else 0.0
     return BranchTrace(
-        radicand_samples=CurveSamples(z, step_control=max(step, radicand.step_control)),
-        sqrt_samples=CurveSamples(roots, step_control=float(np.max(np.abs(np.diff(roots))))),
+        radicand_samples=CurveSamples(z),
+        sqrt_samples=CurveSamples(roots),
         cut_crossings=crossings,
         final_sign=final_sign,
     )
@@ -226,7 +220,7 @@ def _sample_quadratic_curve(height: float, offset: float, sigma_range, step: flo
     n = max(8, int(np.ceil(speed * (hi - lo) / step)))
     sigma = np.linspace(lo, hi, n + 1)
     z = (sigma + 1j * height) ** 2 + offset
-    return CurveSamples(z, step_control=float(max(step, np.max(np.abs(np.diff(z))))))
+    return CurveSamples(z)
 
 
 def radicand_curve(

@@ -1,24 +1,45 @@
 """Planar quadrature for the most-continuous spectral component.
 
 Integrals over the plane of N(eta) / (|eta|^2 + w^2)^2 are computed in polar
-coordinates: the angle by uniformly refined periodic trapezoid sums (which
-converge geometrically for smooth integrands) and the radius by the adaptive
-Gauss-Kronrod scheme.  The singular integral of 1 / (|eta|^2 + w^2)^2 has the
-closed form pi / w^2, which regularization trades against the circle value
-of the numerator at radius |w|.
+coordinates: the angle by periodic trapezoid sums, refined per radius by
+doubling (they converge geometrically for smooth integrands), and the radius
+by the adaptive Gauss-Kronrod scheme.  The singular integral of
+1 / (|eta|^2 + w^2)^2 has the closed form pi / w^2, which regularization
+trades against the circle value of the numerator at radius |w|.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import PoleOnContourError, QuadratureFailureError, ValidationError
-from .quadrature import RegularizedResult, adaptive_quadrature
+from .quadrature import adaptive_quadrature
 
 #: disk radius default, in units of max(1, |w|)
 DISK_RADIUS_FACTOR = 50.0
+#: angular points at which every circle's trapezoid sum must have converged
+MAX_ANGLE = 1 << 13
+
+
+@dataclass
+class RegularizedResult:
+    """Outcome of a circle-subtracted planar integral.
+
+    ``total`` is always ``principal + singular``; ``tail_bound`` bounds the
+    neglected numerator tail beyond the truncation radius.
+    """
+
+    principal: complex
+    singular: complex
+    est_error: float
+    tail_bound: float
+
+    @property
+    def total(self) -> complex:
+        return self.principal + self.singular
 
 
 def planar_singular_integral(w: complex) -> complex:
@@ -33,60 +54,50 @@ def planar_singular_integral(w: complex) -> complex:
     return np.pi / w**2
 
 
-def _circle_values(numerator2d: Callable, radii: np.ndarray, n_angle: int) -> np.ndarray:
-    """Trapezoid sums of the numerator over circles of the given radii."""
-    theta = np.linspace(0.0, 2.0 * np.pi, n_angle, endpoint=False)
-    r = radii[:, None]
-    vals = np.asarray(numerator2d(r * np.cos(theta)[None, :], r * np.sin(theta)[None, :]),
-                      dtype=complex)
-    return vals.mean(axis=1) * 2.0 * np.pi
+def _angular_integrals(numerator2d: Callable, radii, tol: float) -> np.ndarray:
+    """Integral over the angle of the numerator on each circle |eta| = r.
 
-
-def circle_average(
-    numerator2d: Callable, radius: float, tol: float = 1e-11, max_angle: int = 1 << 14
-) -> complex:
-    """Line integral of the numerator over the circle of the given radius.
-
-    The angular mean (this value divided by 2 pi r) is what the planar
-    regularization subtracts.  Refinement doubles the uniform angular grid
-    until two successive levels agree.
+    Every radius doubles its own uniform trapezoid grid, from 32 points, until
+    two successive sums agree to tol * max(1, |sum|), so a value does not
+    depend on which radii share a call.  A radius that has not converged at
+    :data:`MAX_ANGLE` points raises.
     """
-    if radius <= 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
-    r = np.array([float(radius)])
-    n = 16
-    prev = _circle_values(numerator2d, r, n)[0]
-    while n <= max_angle:
+    radii = np.asarray(radii, dtype=float)
+
+    def trapezoid(r: np.ndarray, n: int) -> np.ndarray:
+        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        vals = np.asarray(numerator2d(r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)),
+                          dtype=complex)
+        return 2.0 * np.pi * vals.mean(axis=1)
+
+    n = 32
+    prev = trapezoid(radii, n)
+    out = np.empty_like(prev)
+    todo = np.arange(radii.size)
+    while n < MAX_ANGLE:
         n *= 2
-        cur = _circle_values(numerator2d, r, n)[0]
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return radius * cur
-        prev = cur
+        cur = trapezoid(radii[todo], n)
+        gap = np.abs(cur - prev)
+        done = gap <= tol * np.maximum(1.0, np.abs(cur))
+        out[todo[done]] = cur[done]
+        todo, prev, gap = todo[~done], cur[~done], gap[~done]
+        if not todo.size:
+            return out
     raise QuadratureFailureError(
-        f"angular refinement did not converge at {max_angle} points", est_error=abs(cur - prev)
+        f"angular refinement at radius {radii[todo[0]]:g} did not converge at {MAX_ANGLE} points",
+        est_error=float(gap[0]),
     )
 
 
-def _angular_profile(numerator2d: Callable, tol: float) -> Callable:
-    """Radial profile r -> mean of the numerator over the circle of radius r.
+def circle_average(numerator2d: Callable, radius: float, tol: float = 1e-11) -> complex:
+    """Line integral of the numerator over the circle of the given radius.
 
-    The angular grid is chosen once per call batch by doubling until the
-    coarsest radius converges, then shared across the batch.
+    The angular mean (this value divided by 2 pi r) is what the planar
+    regularization subtracts.
     """
-
-    def profile(radii: np.ndarray) -> np.ndarray:
-        radii = np.asarray(radii, dtype=float)
-        n = 32
-        prev = _circle_values(numerator2d, radii, n)
-        while n <= (1 << 12):
-            n *= 2
-            cur = _circle_values(numerator2d, radii, n)
-            if np.max(np.abs(cur - prev)) <= tol * max(1.0, float(np.max(np.abs(cur)))):
-                return cur / (2.0 * np.pi)
-            prev = cur
-        return cur / (2.0 * np.pi)
-
-    return profile
+    if radius <= 0:
+        raise ValidationError(f"radius must be positive, got {radius}")
+    return radius * complex(_angular_integrals(numerator2d, [radius], tol)[0])
 
 
 def planar_direct_integral(
@@ -101,11 +112,9 @@ def planar_direct_integral(
         raise PoleOnContourError(f"w = {w} is purely imaginary: pole circle on the plane")
     if T is None:
         T = DISK_RADIUS_FACTOR * max(1.0, abs(w))
-    mean = _angular_profile(numerator2d, tol)
 
     def f(r):
-        r = np.asarray(r, dtype=float)
-        return 2.0 * np.pi * r * mean(r) / (r**2 + w**2) ** 2
+        return r * _angular_integrals(numerator2d, r, tol) / (r**2 + w**2) ** 2
 
     aw = abs(w)
     seeds = sorted({aw * f0 for f0 in (0.25, 0.5, 1.0, 2.0, 4.0)} | {1.0, T / 4})
@@ -117,40 +126,33 @@ def planar_regularized_integral(
     w: complex,
     T: float | None = None,
     tol: float = 1e-9,
-    subtract: str = "average",
 ) -> RegularizedResult:
     """Circle-subtracted planar integral with closed-form singular part.
 
-    Subtracts the angular average of the numerator on the circle |eta| = |w|
-    (or the raw circle integral when ``subtract="integral"``), integrates the
-    difference against the double-pole kernel, and adds the subtracted value
-    times pi / w^2.  The constant part of the tail beyond the disk is
-    completed analytically.
+    Subtracts the angular average of the numerator on the circle |eta| = |w|,
+    integrates the difference against the double-pole kernel, and adds the
+    subtracted value times pi / w^2.  The constant part of the tail beyond
+    the disk is completed analytically.
     """
     w = complex(w)
     if abs(w.real) <= 1e-12 * (1.0 + abs(w)):
         raise PoleOnContourError(f"w = {w} is purely imaginary: pole circle on the plane")
-    if subtract not in ("average", "integral"):
-        raise ValidationError(f"unknown subtraction normalization {subtract!r}")
     if T is None:
         T = DISK_RADIUS_FACTOR * max(1.0, abs(w))
 
-    circ = circle_average(numerator2d, abs(w), tol=tol)
-    j_w = circ / (2.0 * np.pi * abs(w)) if subtract == "average" else circ
-
-    mean = _angular_profile(numerator2d, tol)
+    aw = abs(w)
+    j_w = circle_average(numerator2d, aw, tol=tol) / (2.0 * np.pi * aw)
 
     def f(r):
-        r = np.asarray(r, dtype=float)
-        return 2.0 * np.pi * r * (mean(r) - j_w) / (r**2 + w**2) ** 2
+        excess = _angular_integrals(numerator2d, r, tol) - 2.0 * np.pi * j_w
+        return r * excess / (r**2 + w**2) ** 2
 
-    aw = abs(w)
     seeds = sorted({aw * f0 for f0 in (0.25, 0.5, 1.0, 2.0, 4.0)} | {1.0, T / 4})
     body, err = adaptive_quadrature(f, 0.0, T, tol=tol, initial_points=seeds)
     principal = body - j_w * np.pi / (T**2 + w**2)
     singular = j_w * planar_singular_integral(w)
 
-    edge = float(np.max(np.abs(_circle_values(numerator2d, np.array([T]), 256)))) / (2 * np.pi)
+    edge = abs(_angular_integrals(numerator2d, [T], tol)[0]) / (2.0 * np.pi)
     tail_bound = float(edge * np.pi / abs(T**2 + w**2))
 
     return RegularizedResult(

@@ -1,10 +1,14 @@
 """Adaptive quadrature on the critical line and closed-form singular integrals.
 
 The adaptive core is a globally adaptive Gauss-Kronrod 7/15 scheme for
-complex-valued integrands of a real variable.  Subdivision always splits the
-interval with the largest embedded error estimate (first such interval on
-ties) and the final reduction sums intervals in position order, so results
-are bit-stable regardless of evaluation interleaving.
+complex-valued integrands of a real variable, after QUADPACK QAG with its
+panels held in arrays.  Each round bisects every panel whose embedded error
+estimate exceeds its even share target / n_panels of the target
+max(tol * max(1, |integral|), summation noise), and the largest one in any
+case; all new panels are evaluated with one call of the integrand.  Every
+sum is a ``math.fsum``, so a result depends on the set of panels and not on
+their order, and reruns are bit for bit identical.  A non-finite integrand
+value fails at once, naming a panel that holds it.
 
 Line integrals over s = 1/2 + i tau are truncated at |tau| = T and completed
 with the analytic tails of the singular factor (arctan-type for simple
@@ -13,7 +17,7 @@ poles, elementary for double poles) instead of pushing T to extremes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Callable
 
 import numpy as np
@@ -45,14 +49,20 @@ _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:-1:2] = np.concatenate((_WG[:-1], _WG[::-1]))  # Gauss nodes interleave
 
 
-def _gk15(f: Callable, a: float, b: float) -> tuple[complex, float]:
-    """One Gauss-Kronrod 7/15 panel; returns (value, error estimate)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fx = np.asarray(f(mid + half * _NODES), dtype=complex)
-    k = half * np.sum(_WEIGHTS_K * fx)
-    g = half * np.sum(_WEIGHTS_G * fx)
-    return k, abs(k - g)
+
+def _gk15(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Kronrod 7/15 on the panels [lo_k, hi_k], all nodes in one call of f.
+
+    Returns the values and error estimates of the panels.  Each panel's sums
+    run over its own 15 nodes, so they do not depend on the other panels.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[:, None] + half[:, None] * _NODES
+    fx = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+    k = half * np.sum(fx * _WEIGHTS_K, axis=1)
+    g = half * np.sum(fx * _WEIGHTS_G, axis=1)
+    return k, np.abs(k - g)
 
 
 def adaptive_quadrature(
@@ -66,43 +76,50 @@ def adaptive_quadrature(
     """Integrate a complex-valued f over [a, b] by adaptive GK15.
 
     ``f`` must accept an ndarray of real abscissae.  Convergence requires the
-    summed error estimates to fall below tol * max(1, |integral|); exceeding
-    ``max_intervals`` raises with the worst interval attached.
+    summed error estimates to fall below tol * max(1, |integral|); a round
+    that starts with ``max_intervals`` panels or more raises with the worst
+    interval attached, and so does a non-finite integrand value.
     """
-    pts = [a, b] if initial_points is None else sorted(set([a, b] + list(initial_points)))
-    pts = [p for p in pts if a <= p <= b]
-    intervals = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err = _gk15(f, lo, hi)
-        intervals.append([lo, hi, val, err])
-
+    pts = np.unique(np.append([a, b], [] if initial_points is None else initial_points))
+    pts = pts[(pts >= a) & (pts <= b)]
+    lo, hi = pts[:-1], pts[1:]
+    val, err = _gk15(f, lo, hi)
     while True:
-        total = sum(iv[2] for iv in intervals)
-        total_err = sum(iv[3] for iv in intervals)
-        # roundoff floor: no point refining below the summation noise level
-        noise = 50.0 * np.finfo(float).eps * sum(abs(iv[2]) for iv in intervals)
-        if total_err <= max(tol * max(1.0, abs(total)), noise):
-            break
-        if len(intervals) >= max_intervals:
-            worst = max(intervals, key=lambda iv: iv[3])
+        total_err = math.fsum(err.tolist())
+        bad = ~np.isfinite(err)
+        if np.any(bad):
+            k = int(np.argmax(bad))
             raise QuadratureFailureError(
-                f"adaptive quadrature stalled at {len(intervals)} intervals "
-                f"(err {total_err:.3g}); worst interval [{worst[0]:g}, {worst[1]:g}]",
-                worst_interval=(worst[0], worst[1]),
+                f"integrand is not finite on [{lo[k]:g}, {hi[k]:g}]",
+                worst_interval=(float(lo[k]), float(hi[k])),
                 est_error=total_err,
             )
-        errs = np.array([iv[3] for iv in intervals])
-        k = int(np.argmax(errs))
-        lo, hi, _, _ = intervals[k]
-        mid = 0.5 * (lo + hi)
-        left = [lo, mid, *_gk15(f, lo, mid)]
-        right = [mid, hi, *_gk15(f, mid, hi)]
-        intervals[k : k + 1] = [left, right]
-
-    intervals.sort(key=lambda iv: iv[0])
-    value = sum(iv[2] for iv in intervals)
-    est_error = float(sum(iv[3] for iv in intervals))
-    return value, est_error
+        total = complex(math.fsum(val.real.tolist()), math.fsum(val.imag.tolist()))
+        # roundoff floor: no point refining below the summation noise level
+        noise = 50.0 * np.finfo(float).eps * math.fsum(np.abs(val).tolist())
+        target = max(tol * max(1.0, abs(total)), noise)
+        if total_err <= target:
+            return total, total_err
+        worst = int(np.argmax(err))
+        if len(lo) >= max_intervals:
+            raise QuadratureFailureError(
+                f"adaptive quadrature stalled at {len(lo)} intervals "
+                f"(err {total_err:.3g}); worst interval [{lo[worst]:g}, {hi[worst]:g}]",
+                worst_interval=(float(lo[worst]), float(hi[worst])),
+                est_error=total_err,
+            )
+        split = err > target / len(lo)
+        # panels all at their share can still sum, rounded, above the target
+        split[worst] = True
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        new_val, new_err = _gk15(f, new_lo, new_hi)
+        keep = ~split
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        val = np.concatenate((val[keep], new_val))
+        err = np.concatenate((err[keep], new_err))
 
 
 def _line_initial_points(T: float) -> list[float]:
@@ -114,9 +131,7 @@ def _line_initial_points(T: float) -> list[float]:
     return pts
 
 
-def adaptive_line_quadrature(
-    f: Callable, T: float, tol: float = 1e-11, max_intervals: int = 8192
-) -> tuple[complex, float]:
+def adaptive_line_quadrature(f: Callable, T: float, tol: float = 1e-11) -> tuple[complex, float]:
     """Integral of f(s) ds over the critical line, truncated at |Im s| <= T.
 
     The orientation is upward: ds = i dtau with s = 1/2 + i tau.  Returns the
@@ -128,9 +143,7 @@ def adaptive_line_quadrature(
     def g(tau):
         return np.asarray(f(0.5 + 1j * np.asarray(tau)), dtype=complex)
 
-    value, err = adaptive_quadrature(
-        g, -T, T, tol=tol, initial_points=_line_initial_points(T), max_intervals=max_intervals
-    )
+    value, err = adaptive_quadrature(g, -T, T, tol=tol, initial_points=_line_initial_points(T))
     return 1j * value, err
 
 
@@ -197,114 +210,32 @@ def singular_line_quadrature(
     return value + singular_line_tail(model, w, T), err
 
 
-# -- pole-subtraction regularization ------------------------------------
+# -- line integrals of a numerator ---------------------------------------
+
+#: relative asymmetry of the numerator on the critical line that is accepted
+SYMMETRY_TOL = 1e-8
 
 
-@dataclass
-class LineIntegrandSpec:
-    """A numerator/denominator pair to integrate over the critical line."""
+def check_line_symmetry(numerator: Callable, T: float) -> float:
+    """Max asymmetry |N(1/2 + i tau) - N(1/2 - i tau)| over 64 heights in [0, T].
 
-    numerator: Callable
-    model: SpectralModel
-    w: complex
-    T: float = 40.0
-    tol: float = 1e-11
-
-    def __post_init__(self):
-        if self.T <= 0:
-            raise ValidationError(f"T must be positive, got {self.T}")
-        if self.tol <= 0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-
-
-@dataclass
-class RegularizedResult:
-    """Outcome of a pole-subtracted line integral.
-
-    ``total`` is always ``principal + singular``; ``tail_bound`` bounds the
-    neglected numerator tail beyond the truncation height.
-    """
-
-    principal: complex
-    singular: complex
-    est_error: float
-    tail_bound: float
-
-    @property
-    def total(self) -> complex:
-        return self.principal + self.singular
-
-
-def check_line_symmetry(
-    numerator: Callable, T: float, tol: float = 1e-8, n_probe: int = 64
-) -> float:
-    """Max asymmetry |N(1/2 + i tau) - N(1/2 - i tau)| over a probe grid.
-
-    Raises when the asymmetry exceeds tol * max |N|.
+    The numerator is called once, on all probe points.  Raises when the
+    asymmetry exceeds :data:`SYMMETRY_TOL` * max |N|.
     """
     tau = np.concatenate((
-        np.linspace(0.0, min(4.0, T), n_probe // 2),
-        np.geomspace(max(1e-3, min(4.0, T)), T, n_probe // 2),
+        np.linspace(0.0, min(4.0, T), 32),
+        np.geomspace(max(1e-3, min(4.0, T)), T, 32),
     ))
     values = np.asarray(numerator(np.concatenate((0.5 + 1j * tau, 0.5 - 1j * tau))), dtype=complex)
     up, dn = values[: len(tau)], values[len(tau) :]
     scale = float(np.max(np.abs(up)))
     worst = float(np.max(np.abs(up - dn)))
-    if worst > tol * max(scale, 1e-300):
+    if worst > SYMMETRY_TOL * max(scale, 1e-300):
         raise AsymmetricNumeratorError(
-            f"numerator asymmetry {worst:.3g} exceeds {tol:g} * max|N| = {tol * scale:.3g}"
+            f"numerator asymmetry {worst:.3g} exceeds {SYMMETRY_TOL:g} * max|N| "
+            f"= {SYMMETRY_TOL * scale:.3g}"
         )
     return worst
-
-
-def regularized_line_integral(
-    spec: LineIntegrandSpec,
-    s_star: complex,
-    symmetry_tol: float = 1e-8,
-) -> RegularizedResult:
-    """Pole-subtracted line integral with closed-form singular part.
-
-    principal = integral of (N(s) - N(s*)) / (lambda(s) - lambda(w))^nu over
-    the full line: quadrature on |Im s| <= T, then the analytic tail of the
-    singular factor weighted by the constant part of the numerator beyond T
-    (its edge value minus the subtracted N(s*)).  This makes the result exact
-    for constant numerators and leaves decaying ones untouched; the modeling
-    error is reported in ``tail_bound``.  singular = N(s*) times the
-    closed-form singular integral.
-    """
-    model, w, T = spec.model, spec.w, spec.T
-    s_star = complex(s_star)
-    if abs(s_star.real - 0.5) <= 1e-12 * (1.0 + abs(s_star)):
-        raise PoleOnContourError(f"pole {s_star} lies on the critical line")
-    check_line_symmetry(spec.numerator, T, tol=symmetry_tol)
-
-    n_star = complex(spec.numerator(s_star))
-    nu = model.nu
-
-    def f(s):
-        s = np.asarray(s, dtype=complex)
-        return (np.asarray(spec.numerator(s), dtype=complex) - n_star) / (
-            denominator(model, s, w) ** nu
-        )
-
-    body, err = adaptive_line_quadrature(f, T, tol=spec.tol)
-    n_up = complex(spec.numerator(0.5 + 1j * T))
-    n_dn = complex(spec.numerator(0.5 - 1j * T))
-    n_edge = 0.5 * (n_up + n_dn)
-    principal = body + (n_edge - n_star) * singular_line_tail(model, w, T)
-    singular = n_star * singular_line_integral(model, s_star)
-
-    edge = max(abs(n_up), abs(n_dn))
-    q = abs(radicand(model, w))
-    if nu == 1:
-        tail_scale = 2.0 * (np.pi / 2 - np.arctan(T / np.sqrt(q))) / (model.a * np.sqrt(q))
-    else:
-        tail_scale = 2.0 / (3.0 * model.a**2 * max(T**3 - q * T, T))
-    tail_bound = float(edge * abs(tail_scale))
-
-    return RegularizedResult(
-        principal=principal, singular=singular, est_error=err, tail_bound=tail_bound
-    )
 
 
 def direct_line_integral(

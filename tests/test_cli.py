@@ -4,6 +4,9 @@ import pytest
 
 import mp_oracle
 from poletrace.cli import main
+from poletrace.models import GrossencharParams, SpectralModel
+from poletrace.numerators import Numerator
+from poletrace.quadrature import direct_line_integral
 
 
 @pytest.fixture
@@ -89,6 +92,29 @@ class TestContinueAndDiff:
         first = (out / "diff.json").read_bytes()
         assert main(args) == 0
         assert (out / "diff.json").read_bytes() == first
+
+    def test_endpoint_on_the_line_clear_of_the_poles(self, model_file, numerator_file, tmp_path):
+        # w = 1/2 + i/2 is on the critical line, but its poles 1/2 +- sqrt(3)/2 are not
+        out = tmp_path / "out"
+        code = main(["continue", "--model", model_file, "--numerator", numerator_file,
+                     "--path", "1.2,0;0.5,0.5", "--out", str(out)])
+        assert code == 0
+        payload = json.loads((out / "continuation.json").read_text())
+        assert payload["corrections"] == []
+        model = SpectralModel.hilbert_maass(GrossencharParams((1.0, -1.0)))
+        direct, _ = direct_line_integral(Numerator.synthetic_gaussian(), model, 0.5 + 0.5j)
+        assert complex(*payload["endpoint"]) == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--tol", "-1"), ("--T", "-5")])
+    def test_bad_settings_are_validation_errors(
+        self, model_file, numerator_file, tmp_path, capsys, recwarn, flag, value
+    ):
+        code = main(["continue", "--model", model_file, "--numerator", numerator_file,
+                     "--path", OUTSIDE, flag, value, "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{flag[2:]} must be positive" in err and str(float(value)) in err
+        assert len(recwarn) == 0
 
     def test_swapped_paths_validation_error(self, model_file, numerator_file, tmp_path):
         code = main(["diff", "--model", model_file, "--numerator", numerator_file,

@@ -47,20 +47,20 @@ class TestSamplePath:
 
 class TestTrackSqrt:
     def test_constant_radicand(self):
-        cs = CurveSamples(np.full(11, 4.0 + 0j), 0.1)
+        cs = CurveSamples(np.full(11, 4.0 + 0j))
         trace = track_sqrt(cs, +1)
         assert np.allclose(trace.sqrt_samples.samples, 2.0)
         assert trace.cut_crossings == 0
         assert trace.final_sign == +1
 
     def test_negative_initial_branch(self):
-        cs = CurveSamples(np.full(5, 9.0 + 0j), 0.1)
+        cs = CurveSamples(np.full(5, 9.0 + 0j))
         trace = track_sqrt(cs, -1)
         assert np.allclose(trace.sqrt_samples.samples, -3.0)
 
     def test_unit_circle_monodromy(self):
         theta = np.linspace(0.0, 2.0 * np.pi, 400)
-        trace = track_sqrt(CurveSamples(np.exp(1j * theta), 0.05), +1)
+        trace = track_sqrt(CurveSamples(np.exp(1j * theta)), +1)
         assert trace.sqrt_samples.samples[0] == pytest.approx(1.0)
         assert trace.sqrt_samples.samples[-1] == pytest.approx(-1.0)
         assert abs(trace.cut_crossings) == 1
@@ -68,7 +68,7 @@ class TestTrackSqrt:
 
     def test_double_loop_restores_branch(self):
         theta = np.linspace(0.0, 4.0 * np.pi, 900)
-        trace = track_sqrt(CurveSamples(np.exp(1j * theta), 0.05), +1)
+        trace = track_sqrt(CurveSamples(np.exp(1j * theta)), +1)
         assert abs(trace.cut_crossings) == 2
         assert trace.final_sign == +1
         assert trace.sqrt_samples.samples[-1] == pytest.approx(1.0)
@@ -81,20 +81,20 @@ class TestTrackSqrt:
         assert trace.final_sign == -1
 
     def test_collision_raises(self):
-        cs = CurveSamples(np.linspace(1.0, -1.0, 41) + 0j, 0.05)
+        cs = CurveSamples(np.linspace(1.0, -1.0, 41) + 0j)
         with pytest.raises(BranchPointCollisionError):
             track_sqrt(cs, +1)
 
     def test_initial_sample_on_cut_rejected(self):
         from poletrace.errors import BranchAmbiguityError
 
-        cs = CurveSamples(np.array([-1.0 + 0j, -1.0 + 1j]), 1.0)
+        cs = CurveSamples(np.array([-1.0 + 0j, -1.0 + 1j]))
         with pytest.raises(BranchAmbiguityError):
             track_sqrt(cs, +1)
 
     def test_near_origin_chord_resolved_by_refinement(self):
         # coarse samples pass near 0 without crossing the cut
-        cs = CurveSamples(np.array([-1 + 0.001j, 1 + 0.001j]), 2.0)
+        cs = CurveSamples(np.array([-1 + 0.001j, 1 + 0.001j]))
         trace = track_sqrt(cs, +1)
         assert trace.cut_crossings == 0
         assert trace.final_sign == +1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poletrace.errors import PoleOnContourError
+from poletrace.errors import PoleOnContourError, QuadratureFailureError
 from poletrace.planar import (
     circle_average,
     planar_direct_integral,
@@ -85,6 +85,13 @@ class TestPlanarRegularized:
             0.0, 60.0, tol=1e-12, initial_points=[0.5, 1.0, 2.0, 5.0],
         )
         assert direct == pytest.approx(oracle, rel=1e-8)
+
+    def test_unconverged_angular_sum_raises(self):
+        # the cusp at x = 0 keeps the trapezoid sums from converging on every
+        # circle; an unconverged angular mean must not reach the radial driver
+        f = lambda x, y: np.sqrt(np.abs(x)) * np.exp(-(x**2 + y**2))
+        with pytest.raises(QuadratureFailureError):
+            planar_direct_integral(f, 1.0 + 0.5j)
 
     def test_imaginary_axis_rejected(self):
         with pytest.raises(PoleOnContourError):
