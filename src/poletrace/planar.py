@@ -59,24 +59,25 @@ def _angular_integrals(numerator2d: Callable, radii, tol: float) -> np.ndarray:
 
     Every radius doubles its own uniform trapezoid grid, from 32 points, until
     two successive sums agree to tol * max(1, |sum|), so a value does not
-    depend on which radii share a call.  A radius that has not converged at
-    :data:`MAX_ANGLE` points raises.
+    depend on which radii share a call.  Level 2n reuses level n: its sum is
+    the mean of level n's sum and the sum over the n new midpoints.  A radius
+    that has not converged at :data:`MAX_ANGLE` points raises.
     """
     radii = np.asarray(radii, dtype=float)
 
-    def trapezoid(r: np.ndarray, n: int) -> np.ndarray:
-        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    def trapezoid(r: np.ndarray, n: int, offset: float) -> np.ndarray:
+        theta = (2.0 * np.pi / n) * (np.arange(n) + offset)
         vals = np.asarray(numerator2d(r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)),
                           dtype=complex)
         return 2.0 * np.pi * vals.mean(axis=1)
 
     n = 32
-    prev = trapezoid(radii, n)
+    prev = trapezoid(radii, n, 0.0)
     out = np.empty_like(prev)
     todo = np.arange(radii.size)
     while n < MAX_ANGLE:
+        cur = 0.5 * (prev + trapezoid(radii[todo], n, 0.5))
         n *= 2
-        cur = trapezoid(radii[todo], n)
         gap = np.abs(cur - prev)
         done = gap <= tol * np.maximum(1.0, np.abs(cur))
         out[todo[done]] = cur[done]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +235,14 @@ class TestEvalEisenstein:
         # xi(400) overflows: no nan is printed
         assert main(["eval-eisenstein", "--s", "200,0", "--z", "0,1", "--completed"]) == 2
         assert capsys.readouterr().out == ""
+
+
+def test_import_loads_no_scipy():
+    # scipy.special alone would add about 0.3 s to every command
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import poletrace.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

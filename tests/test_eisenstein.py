@@ -1,12 +1,19 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import kv as scipy_kv
 
 import mp_oracle
+from poletrace import eisenstein
 from poletrace.eisenstein import (
+    _BERNOULLI,
     FOURIER_CONSTANTS,
     EisensteinParams,
     UpperHalfPoint,
+    _fourier_pieces,
+    _gamma,
     bessel_k,
     eisenstein_gl2,
     eisenstein_gl2_completed,
@@ -44,6 +51,55 @@ class TestZeta:
         refined = zeta(s, n_terms=160, n_corrections=29)
         assert abs(base - refined) <= 1e-10 * max(1.0, abs(refined))
 
+    @pytest.mark.parametrize("re_s,bound,scale_by_one", [(0.5, 1e-11, True), (1.5, 1e-12, False),
+                                                         (2.5, 1e-12, False)])
+    def test_against_mpmath_up_to_im_480(self, re_s, bound, scale_by_one):
+        # the range the Eisenstein numerator uses; on the critical line the
+        # relative error grows next to the zeros, so it is taken against
+        # max(1, |zeta|) there
+        rng = np.random.default_rng(480)
+        s = re_s + 1j * rng.uniform(-480.0, 480.0, 40)
+        got = zeta(s)
+        with mp.workdps(30):
+            want = np.array([complex(mp.zeta(mp.mpc(v))) for v in s])
+        scale = np.maximum(1.0, np.abs(want)) if scale_by_one else np.abs(want)
+        assert np.max(np.abs(got - want) / scale) <= bound
+
+
+class TestBernoulli:
+    def test_table_is_exact(self):
+        assert len(_BERNOULLI) == 61
+        for k in range(61):
+            assert _BERNOULLI[k] == float(mp.bernoulli(k)), k
+
+
+class TestGamma:
+    @staticmethod
+    def _worst(z):
+        with mp.workdps(40):
+            want = np.array([complex(mp.gamma(mp.mpc(v))) for v in z])
+        return np.max(np.abs(_gamma(z) - want) / np.abs(want))
+
+    @pytest.mark.parametrize("im_max,bound", [(60.0, 1e-13), (200.0, 5e-13)])
+    def test_against_mpmath_where_xi_needs_it(self, im_max, bound):
+        # xi reflects Re u < 1/2, so Gamma sees Re z >= 1/4; 2.5 is the point
+        # behind xi(-4) and xi(5)
+        rng = np.random.default_rng(int(im_max))
+        z = rng.uniform(0.25, 4.0, 600) + 1j * rng.uniform(-im_max, im_max, 600)
+        z = np.concatenate([z, [0.25, 0.5, 1.0, 2.5, 3.0, 4.0]])
+        assert self._worst(z) <= bound
+
+    def test_factorials(self):
+        n = np.arange(1, 21)
+        want = np.array([float(math.factorial(k - 1)) for k in n])
+        assert np.max(np.abs(_gamma(n.astype(float)) - want) / want) <= 1e-14
+
+    def test_vectorized_matches_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        z = rng.uniform(0.25, 4.0, 90) + 1j * rng.uniform(-60.0, 60.0, 90)
+        batch = _gamma(z)
+        assert all(batch[i] == _gamma(z[i]) for i in range(z.size))
+
 
 class TestXi:
     def test_functional_equation(self):
@@ -57,6 +113,16 @@ class TestXi:
     def test_pole(self):
         with pytest.raises(DomainError):
             xi(1.0)
+
+    def test_fourier_pieces_equal_separate_xi_calls(self, monkeypatch):
+        # one xi call on [2s, 2s - 1] is split back into the two pieces
+        calls = []
+        monkeypatch.setattr(eisenstein, "xi", lambda u: calls.append(u) or xi(u))
+        s = np.array([0.5 + 1.0j, 0.5 - 7.5j, 0.8 + 1.1j, 2.5, 0.5 + 16.0j])
+        xi_2s, xi_2s1, _ = _fourier_pieces(s, UpperHalfPoint(0.1, 1.05), 12)
+        assert len(calls) == 1
+        assert np.all(xi_2s == xi(2.0 * s))
+        assert np.all(xi_2s1 == xi(2.0 * s - 1.0))
 
 
 class TestBesselK:

@@ -86,6 +86,18 @@ class TestPlanarRegularized:
         )
         assert direct == pytest.approx(oracle, rel=1e-8)
 
+    def test_angular_levels_are_reused(self):
+        # every radius converges at 64 angles: 32 + 32 evaluations instead of
+        # 32 + 64 when each doubling level is evaluated from scratch
+        sizes = []
+
+        def counted(x, y):
+            sizes.append(np.size(x))
+            return gaussian2d(x, y)
+
+        planar_direct_integral(counted, 1.0 + 0.4j)
+        assert sum(sizes) <= 11520
+
     def test_unconverged_angular_sum_raises(self):
         # the cusp at x = 0 keeps the trapezoid sums from converging on every
         # circle; an unconverged angular mean must not reach the radial driver
