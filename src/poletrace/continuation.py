@@ -6,7 +6,11 @@ line exactly when the radicand lies on the negative real axis, so every
 crossing of that cut carries the tracked pole, and its partner 1 - s(w),
 across the line; on the w-plane this happens where the path crosses the
 critical line outside the segment between the branch points 1/2 +- i sqrt(c),
-and never when it crosses inside it.  One invariant therefore decides the value: a
+and never when it crosses inside it.  ``continue`` and ``diff`` decide the
+branch from that statement in closed form, one division per path segment
+(:func:`paths.branch_sign`); :func:`continue_pole` samples the path and
+tracks the root through the samples, for the ``trace`` command and as the
+oracle of the closed form.  One invariant therefore decides the value: a
 correction term is owed exactly when the tracked branch ends flipped
 (``trace.final_sign == -1``), whatever the path geometry.  Paths may cross
 the critical line any number of times and end on either side of it.  The
@@ -34,13 +38,21 @@ from .errors import (
     ValidationError,
 )
 from .models import SpectralModel, radicand
-from .paths import BranchTrace, CurveSamples, WPath, sample_path, track_sqrt
+from .paths import (
+    BranchSign,
+    BranchTrace,
+    CurveSamples,
+    WPath,
+    branch_sign,
+    sample_path,
+    track_sqrt,
+)
 from .planar import planar_direct_integral, planar_regularized_integral, planar_singular_integral
 from .quadrature import check_line_symmetry, direct_line_integral
 
 #: minimum distance from the critical line of the poles at the path end
 ENDPOINT_MARGIN = 0.05
-#: default sampling step along w-paths
+#: default sampling step along w-paths (the ``trace`` command)
 PATH_STEP = 0.01
 
 
@@ -73,7 +85,7 @@ class ContinuationResult:
 
     endpoint_value: complex
     corrections: list[CorrectionTerm]
-    trace: BranchTrace
+    trace: BranchSign
     est_error: float = 0.0
 
     def as_dict(self) -> dict:
@@ -140,13 +152,13 @@ def _require_poles_off_line(model: SpectralModel, w_end: complex) -> None:
 
 
 def _continued(
-    numerator: Callable, model: SpectralModel, trace: BranchTrace, direct: complex, err: float
+    numerator: Callable, model: SpectralModel, trace: BranchSign, direct: complex, err: float
 ) -> ContinuationResult:
     """The direct value at the path end plus the term a flipped branch owes."""
     corrections: list[CorrectionTerm] = []
     endpoint_value = direct
     if trace.final_sign == -1:
-        term = _correction_term(numerator, model, pole_endpoint(trace))
+        term = _correction_term(numerator, model, trace.end_pole)
         corrections.append(term)
         endpoint_value = direct + term.term_value
     return ContinuationResult(
@@ -173,7 +185,7 @@ def continue_integral(
     w_end = path.end
     _require_poles_off_line(model, w_end)
     check_line_symmetry(numerator, T)
-    trace = continue_pole(model, path)
+    trace = branch_sign(model, path)
     direct, err = direct_line_integral(numerator, model, w_end, T=T, tol=tol)
     return _continued(numerator, model, trace, direct, err)
 
@@ -205,7 +217,7 @@ def branching_difference(
         if path.end != w_end:
             raise InvalidPathPairError(f"path {path.label!r} does not end at w_end = {w_end}")
     _require_poles_off_line(model, w_end)
-    outside, inside = continue_pole(model, path1), continue_pole(model, path2)
+    outside, inside = branch_sign(model, path1), branch_sign(model, path2)
     if outside.final_sign != -1 or inside.final_sign != +1:
         raise InvalidPathPairError(
             f"path {path1.label!r} must flip the tracked branch and path {path2.label!r} "

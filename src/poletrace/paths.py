@@ -4,7 +4,9 @@ A continuation parameter travels along a :class:`WPath`; the quantity under
 the square root (the radicand) then traces a curve in the plane, and the
 branch of the root is fixed by continuity along that curve.  The branch cut
 is the negative real axis, so branch bookkeeping reduces to counting signed
-crossings of that ray by the sampled radicand polyline.
+crossings of that ray.  :func:`track_sqrt` counts them on a sampled radicand
+polyline; :func:`branch_sign` counts them in closed form from the crossings
+of the critical line by the path's linear segments.
 
 For horizontal crossings of the critical line the radicand runs along a
 right-facing parabola; :func:`radicand_curve` produces the samples together
@@ -14,6 +16,8 @@ closed-form criterion for whether that parabola encloses the origin.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +29,7 @@ from .errors import (
     BranchPointCollisionError,
     DegenerateParametrizationError,
     InvalidPathError,
+    StartInLeftHalfPlaneError,
 )
 
 #: tolerance for "the radicand hits the origin"
@@ -198,6 +203,71 @@ def track_sqrt(radicand: CurveSamples, initial_branch: int) -> BranchTrace:
         cut_crossings=crossings,
         final_sign=final_sign,
     )
+
+
+@dataclass(frozen=True)
+class BranchSign:
+    """Branch bookkeeping of a pole continued along a w-path, without samples.
+
+    ``cut_crossings`` and ``final_sign`` mean what they mean on a
+    :class:`BranchTrace`; ``end_pole`` is the continued pole at the path end.
+    """
+
+    cut_crossings: int
+    final_sign: int
+    end_pole: complex
+
+
+def branch_sign(model, path: WPath) -> BranchSign:
+    """Cut crossings and final branch of the pole 1/2 + sqrt(q(w)), exactly.
+
+    For the radicand q(w) = (w - 1/2)^2 + c with real c >= 0,
+    Im q = 2 (Re w - 1/2) Im w and, on the critical line, q = c - (Im w)^2.
+    So q crosses the negative real axis exactly where the path crosses
+    Re w = 1/2 at |Im w| > sqrt(c), once at most per linear segment, and one
+    division finds the height.  Crossings are signed as
+    :func:`_signed_cut_crossings` signs them, with Im q = 0 (a point on the
+    line) in the upper half plane, so a vertex on the line or a segment along
+    it counts where the path leaves the lower half plane or enters it.  The
+    end pole is 1/2 + final_sign * sqrt(q(w_end)), principal root.
+
+    The guards are those of tracking the root along samples: the path must
+    start right of the critical line, and |q| = |w - b+| |w - b-| must exceed
+    :data:`COLLISION_TOL` at each segment's closest approach to each branch
+    point b+- = 1/2 +- i sqrt(c).
+    """
+    if path.start.real <= 0.5:
+        raise StartInLeftHalfPlaneError(
+            f"continuation must start right of the critical line, got {path.start}"
+        )
+    c = float(model.c)
+    root_c = math.sqrt(c)
+    branch = (complex(0.5, root_c), complex(0.5, -root_c))
+    crossings = 0
+    for a, b in zip(path.points[:-1], path.points[1:]):
+        d = b - a
+        length = abs(d)
+        for bp in branch:
+            t = min(1.0, max(0.0, ((bp - a) * (d / length).conjugate()).real / length))
+            w = a + t * d
+            if abs(w - branch[0]) * abs(w - branch[1]) <= COLLISION_TOL:
+                raise BranchPointCollisionError(
+                    f"path passes within {COLLISION_TOL:g} of the branch point {bp}"
+                )
+        ua, ub = a.real - 0.5, b.real - 0.5
+        if (ua < 0.0 < ub) or (ub < 0.0 < ua):  # crosses the line at the height v
+            v = a.imag + ua / (ua - ub) * d.imag
+            if v * v > c:
+                crossings += 1 if d.real * v < 0.0 else -1
+        elif ua == 0.0 and ub != 0.0:  # leaves the line at a
+            if ub * a.imag < 0.0 and a.imag**2 > c:
+                crossings += 1
+        elif ub == 0.0 and ua != 0.0:  # reaches the line at b
+            if ua * b.imag < 0.0 and b.imag**2 > c:
+                crossings -= 1
+    final_sign = +1 if crossings % 2 == 0 else -1
+    u_end = path.end - 0.5
+    return BranchSign(crossings, final_sign, 0.5 + final_sign * cmath.sqrt(u_end * u_end + c))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ poles, elementary for double poles) instead of pushing T to extremes.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -80,7 +81,8 @@ def adaptive_quadrature(
     that starts with ``max_intervals`` panels or more raises with the worst
     interval attached, and so does a non-finite integrand value.
     """
-    pts = np.unique(np.append([a, b], [] if initial_points is None else initial_points))
+    seeds = [] if initial_points is None else initial_points
+    pts = np.array(sorted({a, b, *seeds}), dtype=float)
     pts = pts[(pts >= a) & (pts <= b)]
     lo, hi = pts[:-1], pts[1:]
     val, err = _gk15(f, lo, hi)
@@ -216,16 +218,24 @@ def singular_line_quadrature(
 SYMMETRY_TOL = 1e-8
 
 
-def check_line_symmetry(numerator: Callable, T: float) -> float:
-    """Max asymmetry |N(1/2 + i tau) - N(1/2 - i tau)| over 64 heights in [0, T].
-
-    The numerator is called once, on all probe points.  Raises when the
-    asymmetry exceeds :data:`SYMMETRY_TOL` * max |N|.
-    """
+@functools.lru_cache(maxsize=16)
+def _probe_heights(T: float) -> np.ndarray:
+    """The 64 probe heights of :func:`check_line_symmetry` in [0, T], read-only."""
     tau = np.concatenate((
         np.linspace(0.0, min(4.0, T), 32),
         np.geomspace(max(1e-3, min(4.0, T)), T, 32),
     ))
+    tau.flags.writeable = False
+    return tau
+
+
+def check_line_symmetry(numerator: Callable, T: float) -> float:
+    """Max asymmetry |N(1/2 + i tau) - N(1/2 - i tau)| over 64 heights in [0, T].
+
+    The numerator is called once, on all probe points; the heights are built
+    once per T.  Raises when the asymmetry exceeds :data:`SYMMETRY_TOL` * max |N|.
+    """
+    tau = _probe_heights(T)
     values = np.asarray(numerator(np.concatenate((0.5 + 1j * tau, 0.5 - 1j * tau))), dtype=complex)
     up, dn = values[: len(tau)], values[len(tau) :]
     scale = float(np.max(np.abs(up)))

@@ -19,3 +19,14 @@ def estar(s: complex, x: float, y: float, n_terms: int) -> complex:
             acc += (mp.mpf(n) ** (s - 0.5) * sigma * mp.besselk(s - 0.5, 2 * mp.pi * n * y)
                     * mp.cos(2 * mp.pi * n * x))
         return complex(xi(2 * s) * y**s + xi(2 * s - 1) * y ** (1 - s) + 4 * mp.sqrt(y) * acc)
+
+
+def gauss_legendre_node(n: int, x0: float) -> tuple[float, float]:
+    """The Gauss-Legendre node of P_n next to x0 and its weight, at 40 digits."""
+    with mp.workdps(40):
+        x = mp.mpf(x0)
+        for _ in range(6):
+            dp = n * (mp.legendre(n - 1, x) - x * mp.legendre(n, x)) / (1 - x * x)
+            x -= mp.legendre(n, x) / dp
+        dp = n * (mp.legendre(n - 1, x) - x * mp.legendre(n, x)) / (1 - x * x)
+        return float(x), float(2 / ((1 - x * x) * dp * dp))

@@ -246,3 +246,16 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_eval_eisenstein_loads_no_numpy_polynomial():
+    # numpy.polynomial and numpy.ma used to cost the first Eisenstein call about 16 ms
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; from poletrace.cli import main; "
+            "main(['eval-eisenstein', '--s', '0.5,3.1', '--z', '0,1', '--completed']); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['numpy', 'polynomial'], ['numpy', 'ma'])))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import poletrace.continuation as continuation
@@ -14,13 +14,14 @@ from poletrace.continuation import (
 )
 from poletrace.eisenstein import UpperHalfPoint
 from poletrace.errors import (
+    BranchPointCollisionError,
     InvalidPathPairError,
     PoleOnContourError,
     StartInLeftHalfPlaneError,
 )
 from poletrace.models import GrossencharParams, SpectralModel, denominator, poles, radicand
 from poletrace.numerators import Numerator
-from poletrace.paths import WPath
+from poletrace.paths import WPath, branch_sign
 from poletrace.quadrature import adaptive_line_quadrature, adaptive_quadrature
 
 
@@ -66,6 +67,95 @@ class TestContinuePole:
     def test_left_start_rejected(self):
         with pytest.raises(StartInLeftHalfPlaneError):
             continue_pole(hilbert(1.0), WPath((0.3 + 0j, 0.2 + 1j)))
+
+
+# -- the closed-form branch rule against the sampled tracker ---------------
+
+
+def _agree(model, path):
+    """branch_sign and continue_pole give the same crossings, sign and end pole."""
+    exact, sampled = branch_sign(model, path), continue_pole(model, path)
+    assert exact.cut_crossings == sampled.cut_crossings
+    assert exact.final_sign == sampled.final_sign
+    assert abs(exact.end_pole - pole_endpoint(sampled)) <= 1e-12 * max(1.0, abs(exact.end_pole))
+    return exact
+
+
+def _both_raise(error, model, path):
+    with pytest.raises(error):
+        branch_sign(model, path)
+    with pytest.raises(error):
+        continue_pole(model, path)
+
+
+def _w(x_range, y_range=(-3.0, 3.0)):
+    return st.builds(complex, st.floats(*x_range), st.floats(*y_range))
+
+
+class TestBranchSign:
+    @settings(max_examples=200)
+    @given(model=st.one_of(st.floats(0.3, 1.5).map(hilbert),
+                           st.floats(0.0, 2.0).map(SpectralModel.gl3_cuspidal)),
+           start=_w((0.55, 2.5)), rest=st.lists(_w((-1.5, 2.5)), min_size=1, max_size=6))
+    def test_agrees_with_the_sampled_tracker(self, model, start, rest):
+        points = (start, *rest)
+        assume(all(a != b for a, b in zip(points, points[1:])))
+        assume(abs(points[-1].real - 0.5) > 1e-3)  # an end pole off the cut has one value
+        path = WPath(points)
+        try:
+            continue_pole(model, path)
+        except BranchPointCollisionError:
+            _both_raise(BranchPointCollisionError, model, path)
+            return
+        _agree(model, path)
+
+    @pytest.mark.parametrize("points, crossings", [
+        ((1.2, 1.2 + 2j, 0.5 + 2j, 0.2 + 2.5j), 1),         # through a vertex above sqrt(c)
+        ((1.2, 1.2 + 2j, 0.5 + 2j, 1.0 + 2.5j), 0),         # touches the line above it
+        ((1.2, 1.2 + 2.5j, 0.2 + 2.5j, 0.5 + 2j, 1.2 + 2j), 0),  # back right via the vertex
+        ((1.2, 1.2 + 0.5j, 0.5 + 0.5j, 0.2 + 2.5j), 0),     # through a vertex below sqrt(c)
+        ((1.2, 1.2 + 2j, 0.5 + 2j, 0.5 + 3j, 0.2 + 3j), 1),  # along the line, leaves left
+        ((1.2, 1.2 + 2j, 0.5 + 2j, 0.5 + 3j, 1.0 + 3j), 0),  # along the line, back right
+        ((1.2, 1.2 - 2j, 0.2 - 2j), -1),                     # crosses at Im w < 0
+        ((1.2, 1.2 - 2j, 0.2 - 2j, 0.2 + 2j, 1.2 + 2j), -2),  # around both branch points
+        ((1.2, 1.2 + 1.001j, 0.2 + 1.001j), 1),              # 1e-3 above the branch point
+    ])
+    def test_vertices_and_segments_on_the_line(self, points, crossings):
+        model = hilbert(1.0)
+        exact = _agree(model, WPath(points))
+        assert exact.cut_crossings == crossings
+        assert exact.final_sign == (-1) ** crossings
+
+    def test_gl2q_follows_the_pole_w(self):
+        # c = 0: the poles are w and 1 - w, and the tracked one is w itself
+        model = SpectralModel.gl2q()
+        for points, crossings in (((1.2, 1.2 + 1j, 0.2 + 1j), 1),
+                                  ((1.2, 1.2 - 1j, 0.2 - 1j, 0.2 + 1j, 1.2 + 1j), -2)):
+            exact = _agree(model, WPath(points))
+            assert exact.cut_crossings == crossings
+            assert exact.end_pole == pytest.approx(points[-1], abs=1e-15)
+
+    def test_gl2q_crossing_next_to_the_branch_point(self):
+        # the straight path crosses the line 4.4e-4 above w = 1/2, where
+        # q = (w - 1/2)^2 turns by almost 2 pi within one 0.01 sampling step
+        model = SpectralModel.gl2q()
+        start = 0.6389267989540318 + 0.1873838054085608j
+        end = -0.5574136159573104 - 1.4224353607243545j
+        straight = WPath((start, end))
+        detour = WPath((start, complex(start.real, 2.0), complex(end.real, 2.0), end))
+        assert branch_sign(model, straight).final_sign == -1
+        a, b = _value(model, straight), _value(model, detour)
+        assert len(a.corrections) == 1
+        assert a.endpoint_value == pytest.approx(b.endpoint_value, rel=1e-14)
+
+    def test_path_through_a_branch_point_collides(self):
+        _both_raise(BranchPointCollisionError, hilbert(1.0), WPath((1.2 + 1j, 0.2 + 1j)))
+        # the segment passes the branch point between its vertices
+        _both_raise(BranchPointCollisionError, hilbert(1.0), WPath((1.2 + 0.3j, -0.2 + 1.7j)))
+
+    def test_left_start_rejected(self):
+        for start in (0.3 + 0j, 0.5 + 1j):
+            _both_raise(StartInLeftHalfPlaneError, hilbert(1.0), WPath((start, 1.2 + 1j)))
 
 
 def four_step_endpoint(numerator, model, w_end, T=40.0, tol=1e-12):

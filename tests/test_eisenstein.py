@@ -125,6 +125,43 @@ class TestXi:
         assert np.all(xi_2s1 == xi(2.0 * s - 1.0))
 
 
+class TestGaussLegendre:
+    # node counts are multiples of 8; 304 is the largest on the documented
+    # bessel_k domain (|Im order| <= 60, x >= 0.1)
+    COUNTS = range(8, 513, 8)
+
+    def test_nodes_match_numpy(self):
+        for n in self.COUNTS:
+            x, w = eisenstein._gauss_legendre(n)
+            ref_x, _ = np.polynomial.legendre.leggauss(n)
+            assert np.max(np.abs(x - ref_x)) <= 4e-16, n
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), n
+            assert np.all(np.diff(x) > 0), n
+
+    def test_rule_is_exact_for_even_powers(self):
+        for n in self.COUNTS:
+            x, w = eisenstein._gauss_legendre(n)
+            for k in range(0, min(n, 24), 2):
+                assert math.fsum(w * x**k) == pytest.approx(2.0 / (k + 1), rel=1e-13), (n, k)
+
+    @pytest.mark.parametrize("n", [8, 32, 88, 128, 304])
+    def test_weights_against_mpmath(self, n):
+        # numpy's leggauss weights are 4.5e-12 (n = 88) to 1.7e-11 (n = 304) off here
+        x, w = eisenstein._gauss_legendre(n)
+        for i in sorted({0, 1, 2, n // 4, n // 2 - 1, n // 2}):
+            ref_x, ref_w = mp_oracle.gauss_legendre_node(n, x[i])
+            assert abs(x[i] - ref_x) <= 2e-16, (n, i)
+            assert abs(w[i] / ref_w - 1.0) <= 1e-15 * n, (n, i)
+
+    def test_odd_counts(self):
+        for n in (1, 3, 7, 15):
+            x, w = eisenstein._gauss_legendre(n)
+            ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+            assert x[n // 2] == 0.0
+            assert np.max(np.abs(x - ref_x)) <= 4e-16
+            assert np.max(np.abs(w / ref_w - 1.0)) <= 1e-14
+
+
 class TestBesselK:
     def test_half_order_closed_form(self):
         assert bessel_k(0.5, 1.0) == pytest.approx(np.sqrt(np.pi / 2.0) * np.exp(-1.0), rel=1e-12)

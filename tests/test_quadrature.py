@@ -7,6 +7,7 @@ from poletrace.models import GrossencharParams, SpectralModel, poles
 from poletrace.numerators import Numerator
 from poletrace.paths import WPath
 from poletrace.quadrature import (
+    _probe_heights,
     adaptive_line_quadrature,
     adaptive_quadrature,
     check_line_symmetry,
@@ -161,3 +162,21 @@ class TestRegularized:
         assert calls == [128]
         with pytest.raises(AsymmetricNumeratorError):
             check_line_symmetry(lambda s: np.imag(np.asarray(s)) + 1.0, 30.0)
+
+    def test_probe_heights_are_built_once_per_T(self):
+        seen = []
+
+        def numerator(s):
+            seen.append(np.array(s))
+            return Numerator.synthetic_gaussian()(s)
+
+        check_line_symmetry(numerator, 17.0)
+        check_line_symmetry(numerator, 17.0)
+        assert _probe_heights(17.0) is _probe_heights(17.0)
+        assert not _probe_heights(17.0).flags.writeable
+        assert np.array_equal(seen[0], seen[1])
+        tau = np.concatenate((np.linspace(0.0, 4.0, 32), np.geomspace(4.0, 17.0, 32)))
+        assert np.array_equal(seen[0], np.concatenate((0.5 + 1j * tau, 0.5 - 1j * tau)))
+        # the shared grid still catches an asymmetric numerator
+        with pytest.raises(AsymmetricNumeratorError):
+            check_line_symmetry(lambda s: np.imag(np.asarray(s)) + 1.0, 17.0)

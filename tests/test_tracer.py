@@ -41,20 +41,25 @@ def test_tracer_records_a_continuation_and_restores_the_package(monkeypatch):
     model = SpectralModel.hilbert_maass(GrossencharParams((1.0, -1.0)))
     numerator = Numerator.synthetic_gaussian()
     path = WPath((1.2 + 0j, 1.2 + 2j, 0.25 + 2j, 0.25 + 2.5j))
+    inside = WPath((1.2 + 0j, 1.2 + 0.5j, 0.25 + 0.5j, 0.25 + 2.5j))
     untraced = poletrace.continue_integral(numerator, model, path, T=40.0)
+    untraced_trace = poletrace.continue_pole(model, path)
 
     before = _package_names()
     call_before = Numerator.__call__
     with tracer_module.Tracer() as tracer:
+        for mod_name, fn_name in tracer_module.SPANNED + tracer_module.COUNTED:
+            module = sys.modules[f"poletrace.{mod_name}"]
+            assert getattr(module, fn_name) is not before[(f"poletrace.{mod_name}", fn_name)], (
+                f"{mod_name}.{fn_name} is not patched")
         traced = poletrace.continue_integral(numerator, model, path, T=40.0)
+        poletrace.branching_difference(numerator, model, path.end, path, inside, T=40.0)
     summary = tracer.summary()
 
     assert traced.endpoint_value == untraced.endpoint_value
     assert summary["calls"]["continuation.continue_integral"] == 1
+    assert summary["calls"]["continuation.branching_difference"] == 1
     for name in (
-        "continuation.continue_pole",
-        "paths.sample_path",
-        "paths.track_sqrt",
         "quadrature.check_line_symmetry",
         "quadrature.direct_line_integral",
         "quadrature.adaptive_quadrature",
@@ -62,8 +67,22 @@ def test_tracer_records_a_continuation_and_restores_the_package(monkeypatch):
         tracer_module.NUMERATOR_SPAN,
     ):
         assert summary["calls"].get(name, 0) >= 1, name
+    # continue and diff decide the branch in closed form, without samples
+    for name in ("continuation.continue_pole", "paths.sample_path", "paths.track_sqrt"):
+        assert summary["calls"].get(name, 0) == 0, name
     for key in ("quadrature.integrand.calls", "quadrature.line_integrand.calls",
-                "models.radicand.calls", "paths.track_sqrt.samples"):
+                "models.radicand.calls"):
+        assert summary["counts"].get(key, 0) >= 1, key
+
+    # the trace command's route still samples the path
+    with tracer_module.Tracer() as tracer:
+        traced_trace = poletrace.continue_pole(model, path)
+    summary = tracer.summary()
+
+    assert traced_trace.final_sign == untraced_trace.final_sign
+    for name in ("continuation.continue_pole", "paths.sample_path", "paths.track_sqrt"):
+        assert summary["calls"].get(name, 0) == 1, name
+    for key in ("paths.sample_path.samples", "paths.track_sqrt.samples", "models.radicand.calls"):
         assert summary["counts"].get(key, 0) >= 1, key
 
     after = _package_names()
