@@ -25,7 +25,6 @@ from .models import (
     eigenvalue,
     eigenvalue_minparabolic_power,
     eigenvalue_minparabolic_root,
-    grossenchar_from_unit,
     poles,
 )
 from .numerators import Numerator
@@ -35,7 +34,6 @@ from .paths import (
     WPath,
     crosses_origin,
     radicand_curve,
-    radicand_curve_trivial,
     sample_path,
     track_sqrt,
 )

@@ -23,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuation import branching_difference, continue_integral, continue_pole, pole_endpoint
+from .continuation import branching_difference, continue_integral, continue_pole
 from .eisenstein import EisensteinParams, UpperHalfPoint, eisenstein_gl2, eisenstein_gl2_completed
 from .errors import NumericalError, PoletraceError, ValidationError
 from .models import SpectralModel, branch_points
 from .numerators import Numerator
-from .paths import WPath, radicand_curve
+from .paths import WPath, branch_sign, radicand_curve
 from .verify import SUITES, run_criteria
 
 
@@ -275,7 +275,13 @@ def _cmd_trace(args, config) -> int:
     model = _resolve_model(args, config)
     path = _resolve_path(args, config)
     step = float(_setting(args, config, "step", 0.01))
+    exact = branch_sign(model, path)
     trace = continue_pole(model, path, step=step)
+    if trace.final_sign != exact.final_sign:
+        raise NumericalError(
+            f"the samples at step {step:g} end with final_sign {trace.final_sign}, but the "
+            f"path's critical-line crossings give {exact.final_sign}; lower --step"
+        )
     out = Path(_setting(args, config, "out", "."))
     s_samples = 0.5 + trace.sqrt_samples.samples
     payload = {
@@ -288,7 +294,7 @@ def _cmd_trace(args, config) -> int:
     _write_atomic(out / "trace.json", _dump_json(payload) + "\n")
     _write_csv(out / "trace_s.csv", s_samples)
     print(f"final_sign {trace.final_sign}, cut_crossings {trace.cut_crossings}, "
-          f"pole end {pole_endpoint(trace):.12g}")
+          f"pole end {complex(s_samples[-1]):.12g}")
     return 0
 
 
@@ -364,8 +370,8 @@ def _cmd_curve(args, config) -> int:
 
 def _cmd_eval_eisenstein(args, config) -> int:
     s = _parse_complex(args.s)
-    x, y = (float(v) for v in args.z.split(","))
-    z = UpperHalfPoint(x, y)
+    point = _parse_complex(args.z)
+    z = UpperHalfPoint(point.real, point.imag)
     if args.completed:
         value = eisenstein_gl2_completed(s, z, n_terms=args.n_terms)
     else:

@@ -127,12 +127,7 @@ def continue_pole(model: SpectralModel, path: WPath, step: float = PATH_STEP) ->
             f"continuation must start right of the critical line, got {path.start}"
         )
     q = radicand(model, sample_path(path, step).samples)
-    return track_sqrt(CurveSamples(q), initial_branch=+1)
-
-
-def pole_endpoint(trace: BranchTrace) -> complex:
-    """Continued pole at the end of the trace: 1/2 + tracked root."""
-    return 0.5 + complex(trace.sqrt_samples.samples[-1])
+    return track_sqrt(CurveSamples(q))
 
 
 def _require_settings(T: float, tol: float) -> None:
@@ -253,15 +248,6 @@ class NoBranchingReport:
     @property
     def passed(self) -> bool:
         return abs(self.difference) <= self.tol * max(1.0, abs(self.direct))
-
-    def as_dict(self) -> dict:
-        return {
-            "continued": [self.continued.real, self.continued.imag],
-            "direct": [self.direct.real, self.direct.imag],
-            "difference": [self.difference.real, self.difference.imag],
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def verify_no_branching_planar(

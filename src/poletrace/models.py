@@ -26,7 +26,6 @@ class ModelKind(str, enum.Enum):
     GL2Q = "GL2Q"
     HILBERT_MAASS = "HilbertMaass"
     GL3_CUSPIDAL = "GL3Cuspidal"
-    GL3_MIN_PARABOLIC = "GL3MinParabolic"
 
 
 @dataclass(frozen=True)
@@ -61,20 +60,6 @@ class GrossencharParams:
         return all(x == 0.0 for x in self.t)
 
 
-def grossenchar_from_unit(log_eps: float, m: int, n: int = 2) -> GrossencharParams:
-    """Character parameters for a real quadratic field from its fundamental unit.
-
-    Unit invariance forces t = (pi m / log_eps, -pi m / log_eps); m = 0 gives
-    the trivial character.
-    """
-    if n != 2:
-        raise InvalidCharacterError(f"unit construction implemented for n = 2 only, got n = {n}")
-    if log_eps <= 0:
-        raise InvalidCharacterError(f"log_eps must be positive, got {log_eps}")
-    t1 = np.pi * m / log_eps
-    return GrossencharParams((t1, -t1))
-
-
 @dataclass(frozen=True)
 class SpectralModel:
     """An eigenvalue family lambda(s) with factorization data (a, c, nu)."""
@@ -82,7 +67,6 @@ class SpectralModel:
     kind: ModelKind
     chi: Optional[GrossencharParams] = None
     t_f: complex = 0.0
-    rho_norm_sq: float = 2.0
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ModelKind(self.kind))
@@ -112,20 +96,12 @@ class SpectralModel:
     def gl3_cuspidal(cls, t_f: complex) -> "SpectralModel":
         return cls(ModelKind.GL3_CUSPIDAL, t_f=t_f)
 
-    @classmethod
-    def gl3_min_parabolic(cls, rho_norm_sq: float = 2.0) -> "SpectralModel":
-        return cls(ModelKind.GL3_MIN_PARABOLIC, rho_norm_sq=rho_norm_sq)
-
     # -- factorization data ----------------------------------------------
 
     @property
     def a(self) -> float:
         """Leading coefficient of lambda(s) - lambda(w) in (s - 1/2)^2."""
-        if self.kind is ModelKind.GL3_CUSPIDAL:
-            return 6.0
-        if self.kind is ModelKind.GL3_MIN_PARABOLIC:
-            raise ValidationError("minimal-parabolic kind has no line factorization")
-        return 1.0
+        return 6.0 if self.kind is ModelKind.GL3_CUSPIDAL else 1.0
 
     @property
     def c(self) -> float:
@@ -134,15 +110,13 @@ class SpectralModel:
             return 0.0
         if self.kind is ModelKind.HILBERT_MAASS:
             return self.chi.norm_sq
-        if self.kind is ModelKind.GL3_CUSPIDAL:
-            c = (self.t_f**2 + 0.25) / 3.0
-            return float(c.real)
-        raise ValidationError("minimal-parabolic kind has no radicand offset")
+        c = (self.t_f**2 + 0.25) / 3.0
+        return float(c.real)
 
     @property
     def nu(self) -> int:
         """Pole order of the spectral integrand."""
-        return 2 if self.kind in (ModelKind.GL3_CUSPIDAL, ModelKind.GL3_MIN_PARABOLIC) else 1
+        return 2 if self.kind is ModelKind.GL3_CUSPIDAL else 1
 
     # -- serialization ----------------------------------------------------
 
@@ -152,39 +126,36 @@ class SpectralModel:
             d["t"] = list(self.chi.t)
         if self.kind is ModelKind.GL3_CUSPIDAL:
             d["t_f"] = [self.t_f.real, self.t_f.imag]
-        if self.kind is ModelKind.GL3_MIN_PARABOLIC:
-            d["rho_norm_sq"] = self.rho_norm_sq
-            d["nu"] = self.nu
-        else:
-            d["a"] = self.a
-            d["c"] = self.c
-            d["nu"] = self.nu
+        d["a"] = self.a
+        d["c"] = self.c
+        d["nu"] = self.nu
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpectralModel":
         try:
             kind = ModelKind(d["kind"])
-        except (KeyError, ValueError) as exc:
-            raise ValidationError(f"bad model descriptor: {exc}") from exc
-        if kind is ModelKind.GL2Q:
-            model = cls.gl2q()
-        elif kind is ModelKind.HILBERT_MAASS:
-            model = cls.hilbert_maass(GrossencharParams(tuple(d["t"])))
-        elif kind is ModelKind.GL3_CUSPIDAL:
-            t_f = d.get("t_f", 0.0)
-            if isinstance(t_f, (list, tuple)):
-                t_f = complex(t_f[0], t_f[1])
-            model = cls.gl3_cuspidal(t_f)
-        else:
-            model = cls.gl3_min_parabolic(float(d.get("rho_norm_sq", 2.0)))
-        for key, have in (("a", "a"), ("c", "c"), ("nu", "nu")):
-            if key in d and kind is not ModelKind.GL3_MIN_PARABOLIC:
-                got = getattr(model, have)
-                if abs(got - d[key]) > 1e-12 * max(1.0, abs(got)):
-                    raise ValidationError(
-                        f"descriptor field {key}={d[key]} inconsistent with kind (expected {got})"
-                    )
+            if kind is ModelKind.GL2Q:
+                model = cls.gl2q()
+            elif kind is ModelKind.HILBERT_MAASS:
+                model = cls.hilbert_maass(GrossencharParams(tuple(d["t"])))
+            else:
+                t_f = d.get("t_f", 0.0)
+                if isinstance(t_f, (list, tuple)):
+                    t_f = complex(t_f[0], t_f[1])
+                model = cls.gl3_cuspidal(t_f)
+            for key in ("a", "c", "nu"):
+                if key in d:
+                    got = getattr(model, key)
+                    if abs(got - d[key]) > 1e-12 * max(1.0, abs(got)):
+                        raise ValidationError(
+                            f"descriptor field {key}={d[key]} inconsistent with kind "
+                            f"(expected {got})"
+                        )
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise ValidationError(f"bad model descriptor: {exc!r}") from exc
         return model
 
 
@@ -208,23 +179,14 @@ def eigenvalue(model: SpectralModel, s: complex) -> complex:
     if model.kind is ModelKind.HILBERT_MAASS:
         terms = [(s + 1j * t) * (s + 1j * t - 1.0) for t in model.chi.t]
         return sum(terms) / model.chi.n
-    if model.kind is ModelKind.GL3_CUSPIDAL:
-        s_f = 0.5 + 1j * model.t_f
-        return 2.0 * (s_f * (s_f - 1.0) + 3.0 * s * (s - 1.0))
-    raise ValidationError(
-        "minimal-parabolic eigenvalues are -(|eta|^2 + |rho|^2); "
-        "use eigenvalue_minparabolic_planar"
-    )
+    s_f = 0.5 + 1j * model.t_f
+    return 2.0 * (s_f * (s_f - 1.0) + 3.0 * s * (s - 1.0))
 
 
 def lambda_w(model: SpectralModel, w: complex) -> complex:
     """Spectral parameter lambda(w): w(w-1) in rank one, 6w(w-1) for GL3 cuspidal data."""
     w = complex(w)
-    if model.kind is ModelKind.GL3_CUSPIDAL:
-        return 6.0 * w * (w - 1.0)
-    if model.kind is ModelKind.GL3_MIN_PARABOLIC:
-        return w * w - model.rho_norm_sq
-    return w * (w - 1.0)
+    return model.a * w * (w - 1.0)
 
 
 def denominator(model: SpectralModel, s, w: complex):
@@ -259,11 +221,6 @@ def eigenvalue_minparabolic_root(
     )
 
 
-def eigenvalue_minparabolic_planar(eta_norm_sq: float, rho_norm_sq: float) -> float:
-    """Planar normalization -(|eta|^2 + |rho|^2) of the minimal-parabolic eigenvalue."""
-    return -(eta_norm_sq + rho_norm_sq)
-
-
 def radicand(model: SpectralModel, w):
     """(w - 1/2)^2 + c, the quantity under the square root in the pole formula.
 
@@ -291,7 +248,5 @@ def poles(model: SpectralModel, w: complex) -> PolePair:
 
 def branch_points(model: SpectralModel) -> tuple[complex, complex]:
     """The pair 1/2 +- i sqrt(c) where the two integrand poles collide."""
-    if model.kind is ModelKind.GL3_MIN_PARABOLIC:
-        raise ValidationError("minimal-parabolic kind has no line branch points")
     root = np.sqrt(complex(model.c))
     return (0.5 + 1j * root, 0.5 - 1j * root)

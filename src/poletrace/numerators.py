@@ -76,22 +76,6 @@ class Numerator:
         out = self.scale * out
         return complex(out[0]) if scalar else out
 
-    def decays_on_line(self) -> bool:
-        """Whether the numerator decays on the critical line (constants do not)."""
-        return self.kind != "constant"
-
-    def as_dict(self) -> dict:
-        d: dict = {"kind": self.kind, "scale": [self.scale.real, self.scale.imag]}
-        if self.kind == "constant":
-            d["value"] = [self.value.real, self.value.imag]
-        elif self.kind == "gaussian":
-            d["width"] = self.width
-        else:
-            d["z0"] = [self.z0.x, self.z0.y]
-            d["z"] = [self.z.x, self.z.y]
-            d["n_terms"] = self.n_terms
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "Numerator":
         def _cplx(v):
@@ -108,6 +92,8 @@ class Numerator:
                 z0 = UpperHalfPoint(*d["z0"])
                 z = UpperHalfPoint(*d["z"])
                 return cls.eisenstein_product_gl2(z0, z, int(d.get("n_terms", 30)), scale)
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ValidationError(f"bad numerator descriptor: {exc}") from exc
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise ValidationError(f"bad numerator descriptor: {exc!r}") from exc
         raise ValidationError(f"unknown numerator kind {kind!r}")

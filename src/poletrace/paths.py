@@ -36,6 +36,10 @@ from .errors import (
 COLLISION_TOL = 1e-8
 #: bisection depth limit for continuity refinement
 REFINE_DEPTH = 40
+#: tolerance for "|alpha| = 1" in :func:`crosses_origin`
+BOUNDARY_TOL = 1e-9
+#: most samples :func:`sample_path` produces; a finer step is refused
+MAX_PATH_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -82,11 +86,6 @@ class CurveSamples:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def max_step(self) -> float:
-        if len(self.samples) < 2:
-            return 0.0
-        return float(np.max(np.abs(np.diff(self.samples))))
-
 
 @dataclass
 class BranchTrace:
@@ -105,13 +104,24 @@ class BranchTrace:
 
 
 def sample_path(path: WPath, step: float) -> CurveSamples:
-    """Sample a piecewise-linear path with spacing at most ``step``."""
-    if step <= 0:
+    """Sample a piecewise-linear path with spacing at most ``step``.
+
+    The sample count is known from the segment lengths before anything is
+    allocated; more than :data:`MAX_PATH_SAMPLES` is refused.
+    """
+    if not step > 0:
         raise InvalidPathError(f"step must be positive, got {step}")
+    segments = list(zip(path.points[:-1], path.points[1:]))
+    counts = [max(1.0, np.ceil(abs(b - a) / step - 1e-12)) for a, b in segments]
+    if sum(counts) > MAX_PATH_SAMPLES:
+        length = sum(abs(b - a) for a, b in segments)
+        raise InvalidPathError(
+            f"step {step:g} along a path of length {length:.6g} needs more than "
+            f"{MAX_PATH_SAMPLES} samples; raise the step"
+        )
     pieces = [np.array([path.points[0]], dtype=complex)]
-    for a, b in zip(path.points[:-1], path.points[1:]):
-        n = max(1, int(np.ceil(abs(b - a) / step - 1e-12)))
-        t = np.linspace(0.0, 1.0, n + 1)[1:]
+    for (a, b), n in zip(segments, counts):
+        t = np.linspace(0.0, 1.0, int(n) + 1)[1:]
         pieces.append(a + t * (b - a))
     return CurveSamples(np.concatenate(pieces))
 
@@ -146,20 +156,18 @@ def _signed_cut_crossings(z: np.ndarray) -> int:
     return int(np.sum(sign[on_ray]))
 
 
-def track_sqrt(radicand: CurveSamples, initial_branch: int) -> BranchTrace:
+def track_sqrt(radicand: CurveSamples) -> BranchTrace:
     """Track a continuous square root along a sampled radicand curve.
 
-    The starting value is ``initial_branch`` times the principal root of the
-    first sample; every subsequent sample takes whichever root is closer to
-    its predecessor.  A chord flips the branch exactly when it crosses the
-    negative real axis, in which case the candidate roots satisfy
-    |p1 - p0| > |p1 + p0| with a clear margin.  Chords whose ratio sits near
-    1 pass close to the origin and are bisected (linear interpolation of the
-    radicand) up to :data:`REFINE_DEPTH` levels; persistent ambiguity means
-    the curve runs into the branch point and a collision is reported.
+    The starting value is the principal root of the first sample; every
+    subsequent sample takes whichever root is closer to its predecessor.  A
+    chord flips the branch exactly when it crosses the negative real axis,
+    in which case the candidate roots satisfy |p1 - p0| > |p1 + p0| with a
+    clear margin.  Chords whose ratio sits near 1 pass close to the origin
+    and are bisected (linear interpolation of the radicand) up to
+    :data:`REFINE_DEPTH` levels; persistent ambiguity means the curve runs
+    into the branch point and a collision is reported.
     """
-    if initial_branch not in (+1, -1):
-        raise BranchAmbiguityError(f"initial_branch must be +1 or -1, got {initial_branch}")
     z = np.asarray(radicand.samples, dtype=complex)
     if np.min(np.abs(z)) <= COLLISION_TOL:
         raise BranchPointCollisionError(
@@ -191,7 +199,7 @@ def track_sqrt(radicand: CurveSamples, initial_branch: int) -> BranchTrace:
         z = np.insert(z, idx + 1, mids)
 
     flip = diff > summ  # True where the chord crosses the cut
-    eps = initial_branch * np.concatenate(([1], np.cumprod(np.where(flip, -1, 1))))
+    eps = np.concatenate(([1], np.cumprod(np.where(flip, -1, 1))))
     roots = eps * p
 
     crossings = _signed_cut_crossings(z)
@@ -314,23 +322,7 @@ def radicand_curve(
     return samples, ParabolaCoeffs(a2=a2, c0=c0)
 
 
-def radicand_curve_trivial(
-    t_o: float,
-    sigma_range: Sequence[float] = (-3.0, 3.0),
-    step: float = 0.01,
-) -> tuple[CurveSamples, ParabolaCoeffs]:
-    """Trivial-character variant: (sigma^2 - t_o^2) + (2 sigma t_o) i.
-
-    Satisfies x = (y - 2 t_o^2)(y + 2 t_o^2) / (4 t_o^2), a right-facing
-    parabola around the origin for any nonzero crossing height t_o.
-    """
-    if t_o == 0:
-        raise DegenerateParametrizationError("t_o = 0 collapses the curve onto the real axis")
-    samples = _sample_quadratic_curve(t_o, 0.0, sigma_range, step)
-    return samples, ParabolaCoeffs(a2=1.0 / (4.0 * t_o**2), c0=-(t_o**2))
-
-
-def crosses_origin(t_norm: float, alpha: float, boundary_tol: float = 1e-9) -> bool:
+def crosses_origin(t_norm: float, alpha: float) -> bool:
     """Whether the radicand parabola travels around the origin.
 
     True exactly when |alpha| > 1, i.e. when the crossing height exceeds the
@@ -340,8 +332,8 @@ def crosses_origin(t_norm: float, alpha: float, boundary_tol: float = 1e-9) -> b
         raise DegenerateParametrizationError(f"t_norm must be positive, got {t_norm}")
     if alpha == 0:
         raise DegenerateParametrizationError("alpha = 0 collapses the curve onto the real axis")
-    if abs(abs(alpha) - 1.0) <= boundary_tol:
+    if abs(abs(alpha) - 1.0) <= BOUNDARY_TOL:
         raise BoundaryCrossingError(
-            f"|alpha| = 1 within tolerance {boundary_tol:g}: curve passes through the origin"
+            f"|alpha| = 1 within tolerance {BOUNDARY_TOL:g}: curve passes through the origin"
         )
     return abs(alpha) > 1.0

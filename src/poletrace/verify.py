@@ -203,7 +203,7 @@ def criterion_winding() -> CriterionResult:
             total += 1
             span = 1.5 * abs(alpha) * t_norm + 1.0
             samples, _ = radicand_curve(t_norm, float(alpha), (-span, span), step=0.02)
-            trace = track_sqrt(samples, +1)
+            trace = track_sqrt(samples)
             if crosses_origin(t_norm, float(alpha)) != (trace.cut_crossings % 2 == 1):
                 disagreements += 1
     return CriterionResult(

@@ -65,6 +65,31 @@ class TestTrace:
                      "--out", str(tmp_path)])
         assert code == 1
 
+    def test_sampled_branch_must_match_the_crossings(self, tmp_path, capsys):
+        # GL2Q, crossing the line within 1e-3 of w = 1/2: at step 0.01 the
+        # radicand turns by almost 2 pi between two samples
+        model = tmp_path / "gl2q.json"
+        model.write_text(json.dumps({"kind": "GL2Q"}))
+        w_end = complex(-0.5574136159573104, -1.4224353607243545)
+        path = f"0.6389267989540318,0.1873838054085608;{w_end.real!r},{w_end.imag!r}"
+        argv = ["trace", "--model", str(model), "--path", path]
+        assert main(argv + ["--out", str(tmp_path / "coarse")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "lower --step" in captured.err
+        assert not (tmp_path / "coarse").exists()
+        assert main(argv + ["--step", "1e-4", "--out", str(tmp_path / "fine")]) == 0
+        assert capsys.readouterr().out.startswith("final_sign -1, cut_crossings 1, pole end ")
+        payload = json.loads((tmp_path / "fine" / "trace.json").read_text())
+        assert payload["final_sign"] == -1
+        assert abs(complex(*payload["pole_end"]) - w_end) <= 1e-12
+
+    def test_step_too_fine_is_refused_before_sampling(self, model_file, tmp_path, capsys):
+        code = main(["trace", "--model", model_file, "--path", OUTSIDE, "--step", "1e-9",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 1e-09 along a path of length 3.45 ")
+
 
 class TestContinueAndDiff:
     def test_continue_emits_upstream_schema(self, model_file, numerator_file, tmp_path):
@@ -125,6 +150,43 @@ class TestContinueAndDiff:
                      "--path", INSIDE, "--path2", OUTSIDE, "--w-end", "0.25,2.5",
                      "--out", str(tmp_path)])
         assert code == 1
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "which, descriptor, message",
+        [
+            ("model", {"kind": "HilbertMaass"}, "bad model descriptor"),
+            ("model", {"kind": "HilbertMaass", "t": "ab"}, "bad model descriptor"),
+            ("model", {"kind": "GL3Cuspidal", "t_f": [1]}, "bad model descriptor"),
+            ("model", {"kind": "GL2Q", "c": "x"}, "bad model descriptor"),
+            ("model", {"kind": "GL2Q", "c": [1, 2]}, "bad model descriptor"),
+            ("model", [1, 2], "bad model descriptor"),
+            ("model", {"kind": "GL3MinParabolic"}, "'GL3MinParabolic' is not a valid ModelKind"),
+            ("numerator", {"kind": "gaussian", "width": "x"}, "bad numerator descriptor"),
+            ("numerator", {"kind": "constant", "value": "q"}, "bad numerator descriptor"),
+            ("numerator", {"kind": "eisenstein_product", "z0": [0, 1], "z": [0, 1],
+                           "n_terms": "a"}, "bad numerator descriptor"),
+            ("numerator", {"kind": "eisenstein_product", "z0": [0], "z": [0, 1]},
+             "bad numerator descriptor"),
+        ],
+    )
+    def test_bad_descriptor_is_a_validation_error(
+        self, model_file, numerator_file, tmp_path, capsys, which, descriptor, message
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(descriptor))
+        files = {"model": model_file, "numerator": numerator_file, which: str(bad)}
+        code = main(["continue", "--model", files["model"], "--numerator", files["numerator"],
+                     "--path", OUTSIDE, "--out", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+    def test_bad_point_is_a_validation_error(self, capsys):
+        assert main(["eval-eisenstein", "--s", "0.5,3", "--z", "1"]) == 1
+        assert capsys.readouterr().err == "error: expected 're,im', got '1'\n"
 
 
 class TestCurve:

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from poletrace.errors import BranchAmbiguityError, InvalidCharacterError, ValidationError
 from poletrace.models import (
     GrossencharParams,
-    ModelKind,
     SpectralModel,
     branch_points,
     denominator,
     eigenvalue,
     eigenvalue_minparabolic_power,
     eigenvalue_minparabolic_root,
-    grossenchar_from_unit,
     lambda_w,
     poles,
     radicand,
@@ -36,28 +34,7 @@ class TestGrossenchar:
         chi = GrossencharParams((1.0, -1.0))
         assert chi.norm_sq == pytest.approx(1.0)
         assert not chi.is_trivial
-
-    def test_unit_construction_trivial(self):
-        chi = grossenchar_from_unit(0.5, 0)
-        assert chi.is_trivial
-        assert sum(chi.t) == 0.0
-
-    def test_unit_construction_golden_ratio(self):
-        log_eps = np.log((1.0 + np.sqrt(5.0)) / 2.0)
-        chi = grossenchar_from_unit(log_eps, 1)
-        assert chi.t[0] == pytest.approx(np.pi / log_eps)
-        assert chi.t[0] == pytest.approx(6.5286, abs=1e-4)
-
-    def test_unit_construction_linear_in_m(self):
-        one = grossenchar_from_unit(0.7, 1)
-        two = grossenchar_from_unit(0.7, 2)
-        assert two.t[0] == pytest.approx(2 * one.t[0])
-
-    def test_unit_construction_bad_args(self):
-        with pytest.raises(InvalidCharacterError):
-            grossenchar_from_unit(-1.0, 1)
-        with pytest.raises(InvalidCharacterError):
-            grossenchar_from_unit(1.0, 1, n=3)
+        assert GrossencharParams((0.0, 0.0)).is_trivial
 
 
 class TestEigenvalue:
@@ -74,10 +51,6 @@ class TestEigenvalue:
 
     def test_gl3_cuspidal(self):
         assert eigenvalue(SpectralModel.gl3_cuspidal(0.0), 0.5) == pytest.approx(-2.0)
-
-    def test_min_parabolic_rejected(self):
-        with pytest.raises(ValidationError):
-            eigenvalue(SpectralModel.gl3_min_parabolic(), 0.5)
 
     @given(s=complexes, w=complexes)
     @settings(max_examples=200, deadline=None)
@@ -116,14 +89,6 @@ class TestMinParabolic:
 
     def test_root_example(self):
         assert eigenvalue_minparabolic_root(1, 1, 0) == pytest.approx(-2.0)
-
-    def test_planar_normalization(self):
-        from poletrace.models import eigenvalue_minparabolic_planar
-
-        assert eigenvalue_minparabolic_planar(3.0, 2.0) == -5.0
-        model = SpectralModel.gl3_min_parabolic(2.0)
-        assert lambda_w(model, 1.5) == pytest.approx(1.5**2 - 2.0)
-        assert model.nu == 2
 
     @given(s1=complexes, s2=complexes)
     @settings(max_examples=300, deadline=None)
@@ -195,10 +160,11 @@ class TestBranchPoints:
         assert lo == pytest.approx(0.5 - 1j / (2.0 * np.sqrt(3.0)))
 
     def test_golden_ratio_character(self):
-        log_eps = np.log((1.0 + np.sqrt(5.0)) / 2.0)
-        model = SpectralModel.hilbert_maass(grossenchar_from_unit(log_eps, 1))
-        hi, _ = branch_points(model)
-        assert hi.imag == pytest.approx(np.pi / log_eps)
+        # unit invariance in Q(sqrt 5) forces t = (pi m / log eps, -pi m / log eps)
+        t1 = np.pi / np.log((1.0 + np.sqrt(5.0)) / 2.0)
+        hi, _ = branch_points(SpectralModel.hilbert_maass(GrossencharParams((t1, -t1))))
+        assert hi.imag == pytest.approx(t1)
+        assert hi.imag == pytest.approx(6.5286, abs=1e-4)
 
 
 class TestModelDescriptor:
@@ -209,16 +175,14 @@ class TestModelDescriptor:
             SpectralModel.hilbert_maass(GrossencharParams((2.0, -2.0))),
             SpectralModel.gl3_cuspidal(1.0),
             SpectralModel.gl3_cuspidal(-0.25j),
-            SpectralModel.gl3_min_parabolic(2.0),
         ],
     )
     def test_roundtrip(self, model):
         restored = SpectralModel.from_dict(model.as_dict())
         assert restored.kind == model.kind
-        if model.kind is not ModelKind.GL3_MIN_PARABOLIC:
-            assert restored.a == model.a
-            assert restored.c == pytest.approx(model.c)
-            assert restored.nu == model.nu
+        assert restored.a == model.a
+        assert restored.c == pytest.approx(model.c)
+        assert restored.nu == model.nu
 
     def test_inconsistent_descriptor_rejected(self):
         with pytest.raises(ValidationError):

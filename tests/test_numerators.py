@@ -29,7 +29,6 @@ class TestConstant:
     def test_value_and_scale(self):
         n = Numerator.constant(2.0, scale=3.0)
         assert n(0.5 + 4j) == 6.0
-        assert not n.decays_on_line()
 
 
 class TestEisensteinProduct:
@@ -59,17 +58,24 @@ class TestDescriptors:
     @pytest.mark.parametrize(
         "numerator",
         [
-            Numerator.constant(1.5 + 0.5j),
-            Numerator.synthetic_gaussian(width=2.0, scale=1j),
-            Numerator.eisenstein_product_gl2(UpperHalfPoint(0.0, 1.0), UpperHalfPoint(0.1, 1.2)),
+            (Numerator.constant(1.5 + 0.5j), {"kind": "constant", "value": [1.5, 0.5]}),
+            (Numerator.synthetic_gaussian(width=2.0, scale=1j),
+             {"kind": "gaussian", "width": 2.0, "scale": [0, 1]}),
+            (Numerator.eisenstein_product_gl2(UpperHalfPoint(0.0, 1.0), UpperHalfPoint(0.1, 1.2)),
+             {"kind": "eisenstein_product", "z0": [0.0, 1.0], "z": [0.1, 1.2], "n_terms": 30}),
         ],
     )
     def test_roundtrip(self, numerator):
-        restored = Numerator.from_dict(numerator.as_dict())
-        assert restored.kind == numerator.kind
+        built, descriptor = numerator
+        restored = Numerator.from_dict(descriptor)
+        assert restored == built
         probe = 0.5 + 1.3j
-        assert restored(probe) == pytest.approx(numerator(probe), rel=1e-12)
+        assert restored(probe) == pytest.approx(built(probe), rel=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             Numerator.from_dict({"kind": "lorentzian"})
+
+    def test_out_of_domain_fields_keep_their_message(self):
+        with pytest.raises(ValidationError, match="^gaussian width must be positive"):
+            Numerator.from_dict({"kind": "gaussian", "width": 0.0})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,11 @@ from poletrace.errors import (
     InvalidPathError,
 )
 from poletrace.paths import (
+    MAX_PATH_SAMPLES,
     CurveSamples,
     WPath,
     crosses_origin,
     radicand_curve,
-    radicand_curve_trivial,
     sample_path,
     track_sqrt,
 )
@@ -41,26 +43,39 @@ class TestSamplePath:
         # legs of length 1 each at step 1/4: 4 + 4 intervals, 9 samples
         cs = sample_path(WPath((0j, 1 + 0j, 1 + 1j)), 0.25)
         assert len(cs) == 9
-        assert cs.max_step() <= 0.25 + 1e-12
+        assert np.max(np.abs(np.diff(cs.samples))) <= 0.25 + 1e-12
         assert cs.samples[0] == 0j and cs.samples[-1] == 1 + 1j
+
+    def test_sample_count_capped_before_allocating(self):
+        # step 1e-9 along a path of length 3 would need 3e9 samples, 48 GB
+        path = WPath((1.2 + 0j, 1.2 + 2j, 0.2 + 2j))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidPathError, match=r"step 1e-09 .* length 3 "):
+                sample_path(path, 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_sample_count_at_the_cap_is_accepted(self):
+        path = WPath((0j, 1 + 0j))
+        assert len(sample_path(path, 1.0 / MAX_PATH_SAMPLES)) == MAX_PATH_SAMPLES + 1
+        with pytest.raises(InvalidPathError):
+            sample_path(path, 0.99 / MAX_PATH_SAMPLES)
 
 
 class TestTrackSqrt:
     def test_constant_radicand(self):
         cs = CurveSamples(np.full(11, 4.0 + 0j))
-        trace = track_sqrt(cs, +1)
+        trace = track_sqrt(cs)
         assert np.allclose(trace.sqrt_samples.samples, 2.0)
         assert trace.cut_crossings == 0
         assert trace.final_sign == +1
 
-    def test_negative_initial_branch(self):
-        cs = CurveSamples(np.full(5, 9.0 + 0j))
-        trace = track_sqrt(cs, -1)
-        assert np.allclose(trace.sqrt_samples.samples, -3.0)
-
     def test_unit_circle_monodromy(self):
         theta = np.linspace(0.0, 2.0 * np.pi, 400)
-        trace = track_sqrt(CurveSamples(np.exp(1j * theta)), +1)
+        trace = track_sqrt(CurveSamples(np.exp(1j * theta)))
         assert trace.sqrt_samples.samples[0] == pytest.approx(1.0)
         assert trace.sqrt_samples.samples[-1] == pytest.approx(-1.0)
         assert abs(trace.cut_crossings) == 1
@@ -68,7 +83,7 @@ class TestTrackSqrt:
 
     def test_double_loop_restores_branch(self):
         theta = np.linspace(0.0, 4.0 * np.pi, 900)
-        trace = track_sqrt(CurveSamples(np.exp(1j * theta)), +1)
+        trace = track_sqrt(CurveSamples(np.exp(1j * theta)))
         assert abs(trace.cut_crossings) == 2
         assert trace.final_sign == +1
         assert trace.sqrt_samples.samples[-1] == pytest.approx(1.0)
@@ -76,26 +91,26 @@ class TestTrackSqrt:
     def test_parabola_crossing(self):
         # alpha = 2, |t| = 1: real part at sigma = 0 is -3, one axis crossing
         samples, _ = radicand_curve(1.0, 2.0, (-1.0, 1.0), 0.01)
-        trace = track_sqrt(samples, +1)
+        trace = track_sqrt(samples)
         assert abs(trace.cut_crossings) == 1
         assert trace.final_sign == -1
 
     def test_collision_raises(self):
         cs = CurveSamples(np.linspace(1.0, -1.0, 41) + 0j)
         with pytest.raises(BranchPointCollisionError):
-            track_sqrt(cs, +1)
+            track_sqrt(cs)
 
     def test_initial_sample_on_cut_rejected(self):
         from poletrace.errors import BranchAmbiguityError
 
         cs = CurveSamples(np.array([-1.0 + 0j, -1.0 + 1j]))
         with pytest.raises(BranchAmbiguityError):
-            track_sqrt(cs, +1)
+            track_sqrt(cs)
 
     def test_near_origin_chord_resolved_by_refinement(self):
         # coarse samples pass near 0 without crossing the cut
         cs = CurveSamples(np.array([-1 + 0.001j, 1 + 0.001j]))
-        trace = track_sqrt(cs, +1)
+        trace = track_sqrt(cs)
         assert trace.cut_crossings == 0
         assert trace.final_sign == +1
 
@@ -103,7 +118,7 @@ class TestTrackSqrt:
     def test_invariants(self, t_norm, alpha):
         span = 1.5 * abs(alpha) * t_norm + 1.0
         samples, _ = radicand_curve(t_norm, alpha, (-span, span), 0.01)
-        trace = track_sqrt(samples, +1)
+        trace = track_sqrt(samples)
         z = trace.radicand_samples.samples
         r = trace.sqrt_samples.samples
         # square of the tracked root returns the radicand
@@ -131,14 +146,6 @@ class TestRadicandCurve:
         resid = np.abs(x - coeffs.a2 * y**2 - coeffs.c0)
         assert np.all(resid <= 1e-10 * (1.0 + np.abs(x)))
 
-    def test_trivial_variant_parabola(self):
-        t_o = 0.8
-        samples, coeffs = radicand_curve_trivial(t_o, (-2.0, 2.0), 0.01)
-        x, y = samples.samples.real, samples.samples.imag
-        expected = (y - 2 * t_o**2) * (y + 2 * t_o**2) / (4 * t_o**2)
-        assert np.allclose(x, expected, atol=1e-12)
-        assert coeffs.c0 == pytest.approx(-(t_o**2))
-
     def test_degenerate_alpha(self):
         with pytest.raises(DegenerateParametrizationError):
             radicand_curve(1.0, 0.0)
@@ -165,6 +172,6 @@ class TestCrossesOrigin:
             for alpha in (-2.2, -1.5, -0.6, 0.3, 0.8, 1.3, 2.7):
                 span = 1.5 * abs(alpha) * t_norm + 1.0
                 samples, _ = radicand_curve(t_norm, alpha, (-span, span), 0.02)
-                trace = track_sqrt(samples, +1)
+                trace = track_sqrt(samples)
                 assert crosses_origin(t_norm, alpha) == (trace.cut_crossings % 2 != 0)
 
