@@ -38,6 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .models import SpectralModel, radicand
+from .numerators import Numerator
 from .paths import (
     BranchSign,
     BranchTrace,
@@ -48,7 +49,7 @@ from .paths import (
     track_sqrt,
 )
 from .planar import planar_direct_integral, planar_regularized_integral, planar_singular_integral
-from .quadrature import check_line_symmetry, direct_line_integral
+from .quadrature import check_line_symmetry, direct_line_integral, singular_line_tail
 
 #: minimum distance from the critical line of the poles at the path end
 ENDPOINT_MARGIN = 0.05
@@ -146,6 +147,23 @@ def _require_poles_off_line(model: SpectralModel, w_end: complex) -> None:
         )
 
 
+def _line_integral(
+    numerator: Callable, model: SpectralModel, w_end: complex, T: float, tol: float
+) -> tuple[complex, float]:
+    """The direct line integral at the path end, completed beyond T where it can be.
+
+    A constant numerator's integrand decays only like |tau|^(-2 nu), so its
+    part beyond |Im s| = T is added in closed form
+    (:func:`quadrature.singular_line_tail`); no tail is added for the other
+    numerators.
+    """
+    direct, err = direct_line_integral(numerator, model, w_end, T=T, tol=tol)
+    if isinstance(numerator, Numerator) and numerator.kind == "constant":
+        tail = numerator.value * numerator.scale * singular_line_tail(model, w_end, T)
+        direct += complex(tail)
+    return direct, err
+
+
 def _continued(
     numerator: Callable, model: SpectralModel, trace: BranchSign, direct: complex, err: float
 ) -> ContinuationResult:
@@ -181,7 +199,7 @@ def continue_integral(
     _require_poles_off_line(model, w_end)
     check_line_symmetry(numerator, T)
     trace = branch_sign(model, path)
-    direct, err = direct_line_integral(numerator, model, w_end, T=T, tol=tol)
+    direct, err = _line_integral(numerator, model, w_end, T, tol)
     return _continued(numerator, model, trace, direct, err)
 
 
@@ -221,7 +239,7 @@ def branching_difference(
         )
 
     check_line_symmetry(numerator, T)
-    direct, err = direct_line_integral(numerator, model, w_end, T=T, tol=tol)
+    direct, err = _line_integral(numerator, model, w_end, T, tol)
     r1 = _continued(numerator, model, outside, direct, err)
     r2 = _continued(numerator, model, inside, direct, err)
     difference = r1.endpoint_value - r2.endpoint_value

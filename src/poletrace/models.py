@@ -167,20 +167,40 @@ class PolePair:
     s_minus: complex
 
 
-def eigenvalue(model: SpectralModel, s: complex) -> complex:
-    """Laplace eigenvalue lambda(s) for the given model.
+def eigenvalue(model: SpectralModel, s):
+    """Laplace eigenvalue lambda(s) for the given model, elementwise on arrays.
 
     The Hilbert-Maass branch computes the literal product-sum over the
-    character parameters rather than the collapsed quadratic form.
+    character parameters rather than the collapsed quadratic form, so it
+    shares nothing with :func:`denominator`.  The products are written out in
+    real arithmetic, in the order of the complex products
+    (s + i t)(s + i t - 1), 3s(s - 1), ... of Python's scalar complex type,
+    so each element equals the scalar evaluation bit for bit.  A scalar (or
+    0-d) s gives a Python complex.
     """
-    s = complex(s)
+    z = np.asarray(s, dtype=complex)
+    x, y = z.real, z.imag
+    xm = x - 1.0
     if model.kind is ModelKind.GL2Q:
-        return s * (s - 1.0)
-    if model.kind is ModelKind.HILBERT_MAASS:
-        terms = [(s + 1j * t) * (s + 1j * t - 1.0) for t in model.chi.t]
-        return sum(terms) / model.chi.n
-    s_f = 0.5 + 1j * model.t_f
-    return 2.0 * (s_f * (s_f - 1.0) + 3.0 * s * (s - 1.0))
+        re, im = x * xm - y * y, x * y + y * xm
+    elif model.kind is ModelKind.HILBERT_MAASS:
+        re = im = 0.0
+        for t in model.chi.t:
+            v = y + t
+            re = re + (x * xm - v * v)
+            im = im + (x * v + v * xm)
+        re, im = re / model.chi.n, im / model.chi.n
+    else:
+        s_f = 0.5 + 1j * model.t_f
+        k = s_f * (s_f - 1.0)
+        x3, y3 = 3.0 * x, 3.0 * y
+        re = 2.0 * (k.real + (x3 * xm - y3 * y))
+        im = 2.0 * (k.imag + (x3 * y + y3 * xm))
+    if z.ndim == 0:
+        return complex(re, im)
+    out = np.empty(z.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def lambda_w(model: SpectralModel, w: complex) -> complex:

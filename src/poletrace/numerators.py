@@ -3,8 +3,10 @@
 All numerators satisfy N(s) = N(1 - s).  The synthetic Gaussian is entire
 with Gaussian decay on the critical line; the Eisenstein product uses the
 completed normalization (so each factor satisfies the functional equation
-exactly and the product decays exponentially on the line); a constant is
-admissible for double poles or whenever the integral is truncated.
+exactly and the product decays exponentially on the line).  A constant is
+admissible for both pole orders: its integrand decays like |Im s|^(-2 nu), so
+the full-line integral converges, and ``continue`` and ``diff`` add its part
+beyond the truncation height T in closed form.
 """
 
 from __future__ import annotations

@@ -103,25 +103,37 @@ class BranchTrace:
     final_sign: int
 
 
+def _interval_counts(
+    lengths: Sequence[float], step: float, what: str, minimum: int = 1
+) -> list[int]:
+    """Intervals of length at most ``step`` on each of ``lengths``, at least ``minimum``.
+
+    The step must be positive and finite.  The counts are known before
+    anything is allocated, and more than :data:`MAX_PATH_SAMPLES` in all is
+    refused with a message that names ``what``.
+    """
+    if not (step > 0 and math.isfinite(step)):
+        raise InvalidPathError(f"step must be positive and finite, got {step}")
+    counts = [max(float(minimum), np.ceil(length / step - 1e-12)) for length in lengths]
+    if not sum(counts) <= MAX_PATH_SAMPLES:
+        raise InvalidPathError(
+            f"step {step:g} along {what} of length {sum(lengths):.6g} needs more than "
+            f"{MAX_PATH_SAMPLES} samples; raise the step"
+        )
+    return [int(n) for n in counts]
+
+
 def sample_path(path: WPath, step: float) -> CurveSamples:
     """Sample a piecewise-linear path with spacing at most ``step``.
 
     The sample count is known from the segment lengths before anything is
     allocated; more than :data:`MAX_PATH_SAMPLES` is refused.
     """
-    if not step > 0:
-        raise InvalidPathError(f"step must be positive, got {step}")
     segments = list(zip(path.points[:-1], path.points[1:]))
-    counts = [max(1.0, np.ceil(abs(b - a) / step - 1e-12)) for a, b in segments]
-    if sum(counts) > MAX_PATH_SAMPLES:
-        length = sum(abs(b - a) for a, b in segments)
-        raise InvalidPathError(
-            f"step {step:g} along a path of length {length:.6g} needs more than "
-            f"{MAX_PATH_SAMPLES} samples; raise the step"
-        )
+    counts = _interval_counts([abs(b - a) for a, b in segments], step, "a path")
     pieces = [np.array([path.points[0]], dtype=complex)]
     for (a, b), n in zip(segments, counts):
-        t = np.linspace(0.0, 1.0, int(n) + 1)[1:]
+        t = np.linspace(0.0, 1.0, n + 1)[1:]
         pieces.append(a + t * (b - a))
     return CurveSamples(np.concatenate(pieces))
 
@@ -290,12 +302,16 @@ class ParabolaCoeffs:
 
 
 def _sample_quadratic_curve(height: float, offset: float, sigma_range, step: float):
-    """Samples of (sigma + i*height)^2 + offset for sigma in sigma_range."""
+    """Samples of (sigma + i*height)^2 + offset for sigma in sigma_range.
+
+    The spacing is at most ``step`` along the curve, with at least 8
+    intervals; the step is checked as :func:`sample_path` checks it.
+    """
     lo, hi = float(sigma_range[0]), float(sigma_range[1])
     if not hi > lo:
         raise InvalidPathError(f"empty sigma range ({lo}, {hi})")
     speed = 2.0 * np.hypot(max(abs(lo), abs(hi)), abs(height))
-    n = max(8, int(np.ceil(speed * (hi - lo) / step)))
+    (n,) = _interval_counts([speed * (hi - lo)], step, "the radicand curve", minimum=8)
     sigma = np.linspace(lo, hi, n + 1)
     z = (sigma + 1j * height) ** 2 + offset
     return CurveSamples(z)

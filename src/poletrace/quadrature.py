@@ -5,10 +5,12 @@ complex-valued integrands of a real variable, after QUADPACK QAG with its
 panels held in arrays.  Each round bisects every panel whose embedded error
 estimate exceeds its even share target / n_panels of the target
 max(tol * max(1, |integral|), summation noise), and the largest one in any
-case; all new panels are evaluated with one call of the integrand.  Every
-sum is a ``math.fsum``, so a result depends on the set of panels and not on
-their order, and reruns are bit for bit identical.  A non-finite integrand
-value fails at once, naming a panel that holds it.
+case; all new panels are evaluated with one call of the integrand, and both
+rules of a panel come from one reduction over its own 15 products.  Every
+sum over panels is a ``math.fsum``, so a result depends on the set of panels
+and not on their order, and reruns are bit for bit identical.  A non-finite
+integrand value makes the summed error estimate non-finite, and the round
+that meets it fails, naming a panel that holds it.
 
 Line integrals over s = 1/2 + i tau are truncated at |tau| = T and completed
 with the analytic tails of the singular factor (arctan-type for simple
@@ -48,7 +50,9 @@ _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))          # 15 ascending nodes
 _WEIGHTS_K = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:-1:2] = np.concatenate((_WG[:-1], _WG[::-1]))  # Gauss nodes interleave
-
+_WEIGHTS_KG = np.stack((_WEIGHTS_K, _WEIGHTS_G))           # one row per rule
+#: relative summation noise below which a round does not refine
+_NOISE = 50.0 * np.finfo(float).eps
 
 
 def _gk15(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,8 +65,9 @@ def _gk15(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES
     fx = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
-    k = half * np.sum(fx * _WEIGHTS_K, axis=1)
-    g = half * np.sum(fx * _WEIGHTS_G, axis=1)
+    kg = np.add.reduce(fx[:, None, :] * _WEIGHTS_KG, axis=2)
+    k = half * kg[:, 0]
+    g = half * kg[:, 1]
     return k, np.abs(k - g)
 
 
@@ -88,9 +93,8 @@ def adaptive_quadrature(
     val, err = _gk15(f, lo, hi)
     while True:
         total_err = math.fsum(err.tolist())
-        bad = ~np.isfinite(err)
-        if np.any(bad):
-            k = int(np.argmax(bad))
+        if not math.isfinite(total_err):  # a NaN or inf estimate spoils the sum
+            k = int(np.argmax(~np.isfinite(err)))
             raise QuadratureFailureError(
                 f"integrand is not finite on [{lo[k]:g}, {hi[k]:g}]",
                 worst_interval=(float(lo[k]), float(hi[k])),
@@ -98,7 +102,7 @@ def adaptive_quadrature(
             )
         total = complex(math.fsum(val.real.tolist()), math.fsum(val.imag.tolist()))
         # roundoff floor: no point refining below the summation noise level
-        noise = 50.0 * np.finfo(float).eps * math.fsum(np.abs(val).tolist())
+        noise = _NOISE * math.fsum(np.abs(val).tolist())
         target = max(tol * max(1.0, abs(total)), noise)
         if total_err <= target:
             return total, total_err
@@ -143,7 +147,7 @@ def adaptive_line_quadrature(f: Callable, T: float, tol: float = 1e-11) -> tuple
         raise ValidationError(f"truncation height must be positive, got {T}")
 
     def g(tau):
-        return np.asarray(f(0.5 + 1j * np.asarray(tau)), dtype=complex)
+        return f(0.5 + 1j * tau)
 
     value, err = adaptive_quadrature(g, -T, T, tol=tol, initial_points=_line_initial_points(T))
     return 1j * value, err
@@ -198,15 +202,15 @@ def singular_line_quadrature(
     """Quadrature oracle for the singular line integral, tail included.
 
     Integrates the literal eigenvalue difference (not the factorized form)
-    over |Im s| <= T and adds the closed-form tail beyond T.
+    over |Im s| <= T and adds the closed-form tail beyond T.  Each integrand
+    call evaluates :func:`models.eigenvalue` once, on all its nodes; the
+    array evaluation equals scalar calls bit for bit.
     """
     lw = lambda_w(model, w)
     nu = model.nu
 
     def f(s):
-        s = np.asarray(s, dtype=complex)
-        lam = np.array([eigenvalue(model, sv) for sv in s.ravel()]).reshape(s.shape)
-        return 1.0 / (lam - lw) ** nu
+        return 1.0 / (eigenvalue(model, s) - lw) ** nu
 
     value, err = adaptive_line_quadrature(f, T, tol=tol)
     return value + singular_line_tail(model, w, T), err

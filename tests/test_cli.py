@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,28 @@ class TestCurve:
         assert svg.startswith("<svg") and "polyline" in svg
         csv_rows = (out / "curve_t1_a2.csv").read_text().splitlines()
         assert csv_rows[0] == "k,re,im"
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [("0", "step must be positive and finite"),
+         ("-1", "step must be positive and finite"),
+         ("nan", "step must be positive and finite"),
+         ("1e-9", "step 1e-09 along the radicand curve of length 43.2666 needs more than")],
+    )
+    def test_bad_step_is_refused_before_sampling(self, step, message, tmp_path, capsys):
+        # at 1e-9 the curve would need 4.3e10 samples: refused before any is made
+        tracemalloc.start()
+        try:
+            code = main(["curve", "--t-norm", "1", "--alpha", "2", f"--step={step}",
+                         "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+        assert peak < 1_000_000
 
     def test_alpha_sweep_minimum_shifts_left(self, tmp_path):
         # alpha = 2 at |t| = 1 has its leftmost point at x = -3 < 0

@@ -21,7 +21,11 @@ from poletrace.errors import (
 from poletrace.models import GrossencharParams, SpectralModel, denominator, poles, radicand
 from poletrace.numerators import Numerator
 from poletrace.paths import WPath, branch_sign
-from poletrace.quadrature import adaptive_line_quadrature, adaptive_quadrature
+from poletrace.quadrature import (
+    adaptive_line_quadrature,
+    adaptive_quadrature,
+    singular_line_integral,
+)
 
 
 def hilbert(t_norm: float) -> SpectralModel:
@@ -273,6 +277,21 @@ class TestContinueIntegral:
         assert len(result.corrections) == 1
         oracle = deformed_contour_integral(numerator, model, path.end, 60.0)
         assert result.endpoint_value == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("T", [1.0, 5.0, 40.0])
+    @pytest.mark.parametrize(
+        "model", [hilbert(1.0), SpectralModel.gl3_cuspidal(2.0)], ids=["nu=1", "nu=2"]
+    )
+    def test_constant_numerator_gets_its_tail(self, model, T):
+        # the constant's integrand decays like |tau|^(-2 nu): without the
+        # part beyond T the endpoint was 0.050 off at T = 40 (nu = 1)
+        numerator = Numerator.constant(1.5 - 0.5j, scale=0.7 + 0.2j)
+        path = WPath((1.3 + 0j, 1.2 + 0.3j))
+        result = continue_integral(numerator, model, path, T=T)
+        assert result.corrections == []
+        s_star = 0.5 + np.sqrt(complex(radicand(model, path.end)))
+        full_line = numerator.value * numerator.scale * singular_line_integral(model, s_star)
+        assert abs(result.endpoint_value - full_line) <= 1e-12 * max(1.0, abs(full_line))
 
     def test_endpoint_margin_enforced(self):
         model = hilbert(1.0)

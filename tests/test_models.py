@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,45 @@ complexes = st.builds(complex, finite, finite)
 
 def hilbert(t_norm: float) -> SpectralModel:
     return SpectralModel.hilbert_maass(GrossencharParams((t_norm, -t_norm)))
+
+
+def scalar_eigenvalue(model: SpectralModel, s: complex) -> complex:
+    """The scalar eigenvalue as it was written before it took arrays.
+
+    Python complex arithmetic, one point at a time; the reference that the
+    array evaluation must reproduce bit for bit.
+    """
+    s = complex(s)
+    if model.kind.value == "GL2Q":
+        return s * (s - 1.0)
+    if model.kind.value == "HilbertMaass":
+        terms = [(s + 1j * t) * (s + 1j * t - 1.0) for t in model.chi.t]
+        return sum(terms) / model.chi.n
+    s_f = 0.5 + 1j * model.t_f
+    return 2.0 * (s_f * (s_f - 1.0) + 3.0 * s * (s - 1.0))
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _three_components(a: float, b: float) -> SpectralModel:
+    return SpectralModel.hilbert_maass(GrossencharParams((a, b, -(a + b))))
+
+
+any_model = st.one_of(
+    st.just(SpectralModel.gl2q()),
+    st.floats(0.0, 3.0).map(hilbert),
+    st.builds(_three_components, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.floats(0.0, 2.0).map(SpectralModel.gl3_cuspidal),
+    st.floats(-0.5, 0.0).map(lambda b: SpectralModel.gl3_cuspidal(complex(0.0, b))),
+)
+# on the critical line and off it, up to the oracle's truncation height 1e5
+line_or_plane = st.builds(
+    complex,
+    st.one_of(st.just(0.5), st.floats(-3.0, 3.0)),
+    st.one_of(st.floats(-1e5, 1e5), st.floats(-3.0, 3.0)),
+)
 
 
 class TestGrossenchar:
@@ -59,6 +100,25 @@ class TestEigenvalue:
             lhs = eigenvalue(model, s) - lambda_w(model, w)
             rhs = model.a * ((s - 0.5) ** 2 - (w - 0.5) ** 2 - model.c)
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs) + abs(rhs))
+
+    @given(model=any_model, s=st.lists(line_or_plane, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_array_equals_scalar_formula_bit_for_bit(self, model, s):
+        got = eigenvalue(model, np.array(s, dtype=complex))
+        assert got.shape == (len(s),)
+        assert [_bits(g) for g in got.tolist()] == [_bits(scalar_eigenvalue(model, v)) for v in s]
+        for zero_d in (s[0], np.complex128(s[0]), np.array(s[0])):
+            value = eigenvalue(model, zero_d)
+            assert type(value) is complex
+            assert _bits(value) == _bits(scalar_eigenvalue(model, s[0]))
+
+    def test_array_shape_is_kept(self):
+        s = np.array([[0.5 + 2j, 1.5 - 1j], [0.0, 3.0 + 1e5j]])
+        for model in (SpectralModel.gl2q(), hilbert(1.3), SpectralModel.gl3_cuspidal(0.7)):
+            got = eigenvalue(model, s)
+            assert got.shape == s.shape
+            want = [[scalar_eigenvalue(model, v) for v in row] for row in s.tolist()]
+            assert got.tolist() == want
 
     def test_factorization_identity_bulk(self):
         rng = np.random.default_rng(7)

@@ -1,24 +1,51 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import poletrace.quadrature as quadrature
 from poletrace.continuation import continue_integral
 from poletrace.errors import AsymmetricNumeratorError, PoleOnContourError, QuadratureFailureError
 from poletrace.models import GrossencharParams, SpectralModel, poles
 from poletrace.numerators import Numerator
 from poletrace.paths import WPath
 from poletrace.quadrature import (
+    _WEIGHTS_G,
     _probe_heights,
     adaptive_line_quadrature,
     adaptive_quadrature,
     check_line_symmetry,
+    direct_line_integral,
     singular_line_integral,
     singular_line_quadrature,
     singular_line_tail,
 )
 
+PINS = Path(__file__).resolve().parent / "golden" / "line_quadrature_pins.json"
+
 
 def hilbert(t_norm: float) -> SpectralModel:
     return SpectralModel.hilbert_maass(GrossencharParams((t_norm, -t_norm)))
+
+
+def _poisoned(bad_call: int, index: int, value: float):
+    """|x - 1/3|, a kink no single round resolves, with ``value`` put at one node.
+
+    The node is element ``index`` of integrand call number ``bad_call``; the
+    abscissa that got it is recorded in ``bad``.
+    """
+    calls, bad = [], []
+
+    def f(x):
+        calls.append(np.size(x))
+        out = np.abs(x - 1.0 / 3.0).astype(complex)
+        if len(calls) == bad_call:
+            out[index] = value
+            bad.append(float(x[index]))
+        return out
+
+    return f, calls, bad
 
 
 class TestAdaptiveQuadrature:
@@ -48,6 +75,35 @@ class TestAdaptiveQuadrature:
         lo, hi = info.value.worst_interval
         assert lo < 1.0 and hi > 0.7
         assert len(calls) == 1
+
+    def test_nan_at_a_kronrod_only_node_fails_at_once(self):
+        # index 2 of a panel is a Kronrod node with Gauss weight 0: the Gauss
+        # sum sees the NaN only through 0 * NaN
+        assert _WEIGHTS_G[2] == 0.0
+        f, calls, bad = _poisoned(1, 2, np.nan)
+        with pytest.raises(QuadratureFailureError, match="not finite") as info:
+            adaptive_quadrature(f, 0.0, 1.0)
+        lo, hi = info.value.worst_interval
+        assert calls == [15] and lo <= bad[0] <= hi
+
+    def test_inf_at_one_node_names_its_panel(self):
+        # three starting panels; the second holds the inf
+        f, calls, bad = _poisoned(1, 15 + 7, np.inf)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(QuadratureFailureError, match="not finite") as info:
+            adaptive_quadrature(f, 0.0, 3.0, initial_points=[1.0, 2.0])
+        assert info.value.worst_interval == (1.0, 2.0)
+        assert len(calls) == 1 and 1.0 <= bad[0] <= 2.0
+
+    def test_nan_first_met_in_a_later_round(self):
+        # the first round cannot resolve the kink; the NaN is put at a node of
+        # the second new panel of round two, and that round fails
+        f, calls, bad = _poisoned(2, 15 + 4, np.nan)
+        with pytest.raises(QuadratureFailureError, match="not finite") as info:
+            adaptive_quadrature(f, 0.0, 1.0)
+        lo, hi = info.value.worst_interval
+        assert calls == [15, 30]
+        assert (lo, hi) == (0.5, 1.0) and lo <= bad[0] <= hi
 
     def test_deterministic(self):
         f = lambda x: np.exp(1j * np.asarray(x)) / (1.0 + np.asarray(x) ** 2)
@@ -140,6 +196,87 @@ class TestSingularClosedForms:
         assert full == pytest.approx(short, rel=1e-10)
         # the tail term is what separates a bare truncation from the oracle
         assert abs(singular_line_tail(model, w, 50.0)) > 1e-3 * abs(full)
+
+
+class TestPinnedBits:
+    """Line quadratures pinned to the bits the scalar eigenvalue loop gave.
+
+    ``golden/line_quadrature_pins.json`` holds seeded inputs and the value and
+    est_error they gave, as ``float.hex``, computed when
+    ``singular_line_quadrature`` still evaluated the eigenvalue one node at a
+    time and ``_gk15`` summed each rule separately.
+    """
+
+    @staticmethod
+    def _model(desc: dict) -> SpectralModel:
+        if desc["kind"] == "HilbertMaass":
+            return SpectralModel.hilbert_maass(
+                GrossencharParams(tuple(float.fromhex(t) for t in desc["t"]))
+            )
+        if desc["kind"] == "GL3Cuspidal":
+            return SpectralModel.gl3_cuspidal(_complex(desc["t_f"]))
+        return SpectralModel.gl2q()
+
+    @staticmethod
+    def _hex(value: complex, err: float) -> dict:
+        return {"value": [value.real.hex(), value.imag.hex()], "est_error": err.hex()}
+
+    def test_singular_line_quadrature(self):
+        cases = json.loads(PINS.read_text())["singular_line_quadrature"]
+        assert len(cases) == 24
+        for case in cases:
+            value, err = singular_line_quadrature(
+                self._model(case["model"]), _complex(case["w"]),
+                T=float.fromhex(case["T"]), tol=float.fromhex(case["tol"]),
+            )
+            want = {key: case[key] for key in ("value", "est_error")}
+            assert self._hex(value, err) == want, case
+
+    def test_gaussian_direct_line_integral(self):
+        cases = json.loads(PINS.read_text())["direct_line_integral"]
+        assert len(cases) == 16
+        for case in cases:
+            numerator = Numerator.synthetic_gaussian(
+                float.fromhex(case["width"]), _complex(case["scale"])
+            )
+            value, err = direct_line_integral(
+                numerator, self._model(case["model"]), _complex(case["w"]),
+                T=float.fromhex(case["T"]), tol=float.fromhex(case["tol"]),
+            )
+            want = {key: case[key] for key in ("value", "est_error")}
+            assert self._hex(value, err) == want, case
+
+
+def _complex(pair: list) -> complex:
+    return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
+
+
+class TestSingularOracleCalls:
+    def test_one_eigenvalue_call_per_integrand_call(self, monkeypatch):
+        # a scalar loop over the nodes would make one call per node
+        eigen_sizes, integrand_sizes = [], []
+        original_eigenvalue = quadrature.eigenvalue
+        original_line = quadrature.adaptive_line_quadrature
+
+        def eigenvalue(model, s):
+            eigen_sizes.append(np.size(s))
+            return original_eigenvalue(model, s)
+
+        def line_quadrature(f, *args, **kwargs):
+            def counted(s):
+                integrand_sizes.append(np.size(s))
+                return f(s)
+
+            return original_line(counted, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "eigenvalue", eigenvalue)
+        monkeypatch.setattr(quadrature, "adaptive_line_quadrature", line_quadrature)
+        for model in (hilbert(1.3), SpectralModel.gl3_cuspidal(0.7), SpectralModel.gl2q()):
+            eigen_sizes.clear()
+            integrand_sizes.clear()
+            singular_line_quadrature(model, 1.2 + 0.4j, T=1e5, tol=1e-12)
+            assert len(integrand_sizes) > 1
+            assert eigen_sizes == integrand_sizes
 
 
 class TestRegularized:
