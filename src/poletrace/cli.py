@@ -23,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuation import branching_difference, continue_integral, continue_pole
+from .continuation import PATH_STEP, branching_difference, continue_integral, continue_pole
 from .eisenstein import EisensteinParams, UpperHalfPoint, eisenstein_gl2, eisenstein_gl2_completed
 from .errors import NumericalError, PoletraceError, ValidationError
 from .models import SpectralModel, branch_points
 from .numerators import Numerator
-from .paths import WPath, branch_sign, radicand_curve
+from .paths import WPath, radicand_curve
 from .verify import SUITES, run_criteria
 
 
@@ -46,8 +46,6 @@ def _parse_path(text: str, label: str = "") -> WPath:
 
 
 def _fmt_float(x: float) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
     return f"{x:.17g}"
 
 
@@ -116,24 +114,14 @@ def _write_svg(path: Path, samples, width: int = 640, height: int = 480) -> None
     _write_atomic(path, svg)
 
 
-def _load_model(spec: str) -> SpectralModel:
+def _load(spec: str, from_dict, name: str):
     try:
         with open(spec) as fh:
-            return SpectralModel.from_dict(json.load(fh))
+            return from_dict(json.load(fh))
     except FileNotFoundError as exc:
-        raise ValidationError(f"model file not found: {spec}") from exc
+        raise ValidationError(f"{name} file not found: {spec}") from exc
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"model file is not valid JSON: {exc}") from exc
-
-
-def _load_numerator(spec: str) -> Numerator:
-    try:
-        with open(spec) as fh:
-            return Numerator.from_dict(json.load(fh))
-    except FileNotFoundError as exc:
-        raise ValidationError(f"numerator file not found: {spec}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"numerator file is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{name} file is not valid JSON: {exc}") from exc
 
 
 def _load_config(path: str | None) -> dict:
@@ -164,27 +152,16 @@ def _setting(args, config, key, default):
     return config.get(key.replace("_", "-"), config.get(key, default))
 
 
-def _resolve_model(args, config) -> SpectralModel:
-    """Model from the --model file, or an inline descriptor in the config."""
-    if getattr(args, "model", None):
-        return _load_model(args.model)
-    descriptor = config.get("model")
+def _resolve(args, config, from_dict, name: str):
+    """A descriptor from the --<name> file, or inline or as a file name in the config."""
+    if getattr(args, name, None):
+        return _load(getattr(args, name), from_dict, name)
+    descriptor = config.get(name)
     if isinstance(descriptor, dict):
-        return SpectralModel.from_dict(descriptor)
+        return from_dict(descriptor)
     if isinstance(descriptor, str):
-        return _load_model(descriptor)
-    raise ValidationError("no model given (flag --model or config key 'model')")
-
-
-def _resolve_numerator(args, config) -> Numerator:
-    if getattr(args, "numerator", None):
-        return _load_numerator(args.numerator)
-    descriptor = config.get("numerator")
-    if isinstance(descriptor, dict):
-        return Numerator.from_dict(descriptor)
-    if isinstance(descriptor, str):
-        return _load_numerator(descriptor)
-    raise ValidationError("no numerator given (flag --numerator or config key 'numerator')")
+        return _load(descriptor, from_dict, name)
+    raise ValidationError(f"no {name} given (flag --{name} or config key '{name}')")
 
 
 def _resolve_path(args, config, attr="path", key="path", label="") -> WPath:
@@ -260,7 +237,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_branch_points(args, config) -> int:
-    model = _resolve_model(args, config)
+    model = _resolve(args, config, SpectralModel.from_dict, "model")
     hi, lo = branch_points(model)
     print(f"{_fmt_float(hi.real)} +- {_fmt_float(hi.imag)}i")
     out = _setting(args, config, "out", None)
@@ -272,16 +249,10 @@ def _cmd_branch_points(args, config) -> int:
 
 
 def _cmd_trace(args, config) -> int:
-    model = _resolve_model(args, config)
+    model = _resolve(args, config, SpectralModel.from_dict, "model")
     path = _resolve_path(args, config)
-    step = float(_setting(args, config, "step", 0.01))
-    exact = branch_sign(model, path)
+    step = float(_setting(args, config, "step", PATH_STEP))
     trace = continue_pole(model, path, step=step)
-    if trace.final_sign != exact.final_sign:
-        raise NumericalError(
-            f"the samples at step {step:g} end with final_sign {trace.final_sign}, but the "
-            f"path's critical-line crossings give {exact.final_sign}; lower --step"
-        )
     out = Path(_setting(args, config, "out", "."))
     s_samples = 0.5 + trace.sqrt_samples.samples
     payload = {
@@ -299,8 +270,8 @@ def _cmd_trace(args, config) -> int:
 
 
 def _cmd_continue(args, config) -> int:
-    model = _resolve_model(args, config)
-    numerator = _resolve_numerator(args, config)
+    model = _resolve(args, config, SpectralModel.from_dict, "model")
+    numerator = _resolve(args, config, Numerator.from_dict, "numerator")
     path = _resolve_path(args, config)
     T = float(_setting(args, config, "T", 40.0))
     tol = float(_setting(args, config, "tol", 1e-11))
@@ -312,8 +283,8 @@ def _cmd_continue(args, config) -> int:
 
 
 def _cmd_diff(args, config) -> int:
-    model = _resolve_model(args, config)
-    numerator = _resolve_numerator(args, config)
+    model = _resolve(args, config, SpectralModel.from_dict, "model")
+    numerator = _resolve(args, config, Numerator.from_dict, "numerator")
     path1 = _resolve_path(args, config, label="outside")
     path2 = _resolve_path(args, config, attr="path2", key="path2", label="inside")
     w_end_text = args.w_end or config.get("w-end", config.get("w_end"))

@@ -6,15 +6,15 @@ line exactly when the radicand lies on the negative real axis, so every
 crossing of that cut carries the tracked pole, and its partner 1 - s(w),
 across the line; on the w-plane this happens where the path crosses the
 critical line outside the segment between the branch points 1/2 +- i sqrt(c),
-and never when it crosses inside it.  ``continue`` and ``diff`` decide the
-branch from that statement in closed form, one division per path segment
-(:func:`paths.branch_sign`); :func:`continue_pole` samples the path and
-tracks the root through the samples, for the ``trace`` command and as the
-oracle of the closed form.  One invariant therefore decides the value: a
-correction term is owed exactly when the tracked branch ends flipped
-(``trace.final_sign == -1``), whatever the path geometry.  Paths may cross
-the critical line any number of times and end on either side of it.  The
-correction is the moderate-growth term
+and never when it crosses inside it.  One rule decides the branch from that
+statement in closed form, one division per crossing: ``continue`` and
+``diff`` apply it to the path's segments (:func:`paths.branch_sign`), and
+:func:`continue_pole`, for the ``trace`` command, to the chords between the
+path's samples, which gives the same count at every step.  One invariant
+therefore decides the value: a correction term is owed exactly when the
+branch ends flipped (``trace.final_sign == -1``), whatever the path
+geometry.  Paths may cross the critical line any number of times and end on
+either side of it.  The correction is the moderate-growth term
 
     nu = 1:   4 pi i * N(s*) / (a   (1 - 2 s*))
     nu = 2:   8 pi i * N(s*) / (a^2 (1 - 2 s*)^3)
@@ -31,22 +31,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    InvalidPathPairError,
-    PoleOnContourError,
-    StartInLeftHalfPlaneError,
-    ValidationError,
-)
+from .errors import InvalidPathPairError, PoleOnContourError, ValidationError
 from .models import SpectralModel, radicand
 from .numerators import Numerator
 from .paths import (
     BranchSign,
     BranchTrace,
-    CurveSamples,
     WPath,
+    _branch_trace,
+    _segment_crossing,
     branch_sign,
     sample_path,
-    track_sqrt,
 )
 from .planar import planar_direct_integral, planar_regularized_integral, planar_singular_integral
 from .quadrature import check_line_symmetry, direct_line_integral, singular_line_tail
@@ -117,18 +112,23 @@ def _correction_term(numerator: Callable, model: SpectralModel, s_star: complex)
 
 
 def continue_pole(model: SpectralModel, path: WPath, step: float = PATH_STEP) -> BranchTrace:
-    """Track the integrand pole s(w) along a w-path.
+    """The integrand pole s(w) at the samples of a w-path, on the continued branch.
 
-    The trace's sqrt samples are of the radicand (w - 1/2)^2 + c, so the pole
-    trajectory is 1/2 plus the tracked root; the initial branch is the one
-    with the pole right of the critical line.
+    The trace's sqrt samples are roots of the radicand (w - 1/2)^2 + c, so
+    the pole trajectory is 1/2 plus the root.  The cut crossings are counted
+    by the rule of :func:`paths.branch_sign` on the chords between samples;
+    only a chord that meets the critical line, and does not run along it,
+    can cross.  Consecutive samples lie on one path segment and the rule is
+    additive along a segment, so ``cut_crossings`` and ``final_sign`` are
+    those of :func:`paths.branch_sign` at every step, and so are the guards.
     """
-    if path.start.real <= 0.5:
-        raise StartInLeftHalfPlaneError(
-            f"continuation must start right of the critical line, got {path.start}"
-        )
-    q = radicand(model, sample_path(path, step).samples)
-    return track_sqrt(CurveSamples(q))
+    branch_sign(model, path)
+    w = sample_path(path, step).samples
+    u = w.real - 0.5
+    crossings = np.zeros(len(w) - 1, dtype=int)
+    for k in np.flatnonzero((u[:-1] * u[1:] <= 0.0) & (u[:-1] != u[1:])).tolist():
+        crossings[k] = _segment_crossing(complex(w[k]), complex(w[k + 1]), float(model.c))
+    return _branch_trace(radicand(model, w), crossings)
 
 
 def _require_settings(T: float, tol: float) -> None:

@@ -4,9 +4,10 @@ A continuation parameter travels along a :class:`WPath`; the quantity under
 the square root (the radicand) then traces a curve in the plane, and the
 branch of the root is fixed by continuity along that curve.  The branch cut
 is the negative real axis, so branch bookkeeping reduces to counting signed
-crossings of that ray.  :func:`track_sqrt` counts them on a sampled radicand
-polyline; :func:`branch_sign` counts them in closed form from the crossings
-of the critical line by the path's linear segments.
+crossings of that ray.  :func:`branch_sign` counts them in closed form from
+the crossings of the critical line by the path's linear segments, and
+``continuation.continue_pole`` by the same rule on the chords between path
+samples.  :func:`track_sqrt` counts them on a sampled radicand polyline.
 
 For horizontal crossings of the critical line the radicand runs along a
 right-facing parabola; :func:`radicand_curve` produces the samples together
@@ -34,8 +35,6 @@ from .errors import (
 
 #: tolerance for "the radicand hits the origin"
 COLLISION_TOL = 1e-8
-#: bisection depth limit for continuity refinement
-REFINE_DEPTH = 40
 #: tolerance for "|alpha| = 1" in :func:`crosses_origin`
 BOUNDARY_TOL = 1e-9
 #: most samples :func:`sample_path` produces; a finer step is refused
@@ -148,37 +147,32 @@ def _segment_min_distance_to_origin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a + t * d)
 
 
-def _signed_cut_crossings(z: np.ndarray) -> int:
-    """Signed crossings of the negative real axis by the polyline ``z``.
+def _signed_cut_crossings(z: np.ndarray) -> np.ndarray:
+    """Signed crossing of the negative real axis by each chord of the polyline ``z``.
 
-    Samples with Im == 0 count as the upper half plane, which keeps a
-    tangential touch from registering as a double crossing.
+    +1 for a chord from the upper half plane to the lower, -1 back, 0 for
+    the rest.  Samples with Im == 0 count as the upper half plane, which
+    keeps a tangential touch from registering as a double crossing.
     """
     x, y = z.real, z.imag
     upper = y >= 0.0
-    change = upper[:-1] != upper[1:]
-    if not np.any(change):
-        return 0
-    ia = np.nonzero(change)[0]
+    crossings = np.zeros(len(z) - 1, dtype=int)
+    ia = np.flatnonzero(upper[:-1] != upper[1:])
     ya, yb = y[ia], y[ia + 1]
     t = ya / (ya - yb)
     xc = x[ia] + t * (x[ia + 1] - x[ia])
-    on_ray = xc < 0.0
-    sign = np.where(upper[ia], 1, -1)
-    return int(np.sum(sign[on_ray]))
+    crossings[ia] = np.where(xc < 0.0, np.where(upper[ia], 1, -1), 0)
+    return crossings
 
 
 def track_sqrt(radicand: CurveSamples) -> BranchTrace:
     """Track a continuous square root along a sampled radicand curve.
 
-    The starting value is the principal root of the first sample; every
-    subsequent sample takes whichever root is closer to its predecessor.  A
-    chord flips the branch exactly when it crosses the negative real axis,
-    in which case the candidate roots satisfy |p1 - p0| > |p1 + p0| with a
-    clear margin.  Chords whose ratio sits near 1 pass close to the origin
-    and are bisected (linear interpolation of the radicand) up to
-    :data:`REFINE_DEPTH` levels; persistent ambiguity means the curve runs
-    into the branch point and a collision is reported.
+    Each sample's root is its principal root times (-1)^k, with k the number
+    of chords before it that cross the branch cut.  The principal root is
+    continuous off the cut and changes sign across it, so this is continuity
+    along the polyline.  A sample or a chord within :data:`COLLISION_TOL` of
+    the branch point 0 is refused, and so is a first sample on the cut.
     """
     z = np.asarray(radicand.samples, dtype=complex)
     if np.min(np.abs(z)) <= COLLISION_TOL:
@@ -188,41 +182,24 @@ def track_sqrt(radicand: CurveSamples) -> BranchTrace:
     z0 = z[0]
     if z0.imag == 0.0 and z0.real < 0.0:
         raise BranchAmbiguityError("initial radicand sample lies on the branch cut")
+    if np.min(_segment_min_distance_to_origin(z[:-1], z[1:])) <= COLLISION_TOL:
+        raise BranchPointCollisionError(
+            f"radicand curve passes within {COLLISION_TOL:g} of the branch point"
+        )
 
-    for depth in range(REFINE_DEPTH + 1):
-        dmin = _segment_min_distance_to_origin(z[:-1], z[1:])
-        if np.min(dmin) <= COLLISION_TOL:
-            raise BranchPointCollisionError(
-                f"radicand curve passes within {COLLISION_TOL:g} of the branch point"
-            )
-        p = np.sqrt(z)
-        diff = np.abs(p[1:] - p[:-1])
-        summ = np.abs(p[1:] + p[:-1])
-        ambiguous = (diff > 0.8 * summ) & (diff < 1.25 * summ)
-        if not np.any(ambiguous):
-            break
-        if depth == REFINE_DEPTH:
-            raise BranchPointCollisionError(
-                "continuity refinement hit depth limit; path too close to the branch point"
-            )
-        # bisect ambiguous segments only
-        idx = np.nonzero(ambiguous)[0]
-        mids = 0.5 * (z[idx] + z[idx + 1])
-        z = np.insert(z, idx + 1, mids)
+    return _branch_trace(z, _signed_cut_crossings(z))
 
-    flip = diff > summ  # True where the chord crosses the cut
-    eps = np.concatenate(([1], np.cumprod(np.where(flip, -1, 1))))
-    roots = eps * p
 
-    crossings = _signed_cut_crossings(z)
-    final_sign = +1 if crossings % 2 == 0 else -1
+def _branch_trace(z: np.ndarray, crossings: np.ndarray) -> BranchTrace:
+    """The roots of the radicand samples ``z``, given the signed cut crossings of its chords.
 
-    return BranchTrace(
-        radicand_samples=CurveSamples(z),
-        sqrt_samples=CurveSamples(roots),
-        cut_crossings=crossings,
-        final_sign=final_sign,
-    )
+    Each root is the principal one times (-1)^(crossings before its sample).
+    A zero imaginary part of either sign counts as the upper half plane.
+    """
+    flipped = np.concatenate(([False], np.cumsum(crossings) % 2 == 1))
+    roots = np.where(flipped, -1, 1) * np.sqrt(z + 0.0)  # + 0.0 turns Im -0.0 into +0.0
+    total = int(np.sum(crossings))
+    return BranchTrace(CurveSamples(z), CurveSamples(roots), total, +1 if total % 2 == 0 else -1)
 
 
 @dataclass(frozen=True)
@@ -238,20 +215,42 @@ class BranchSign:
     end_pole: complex
 
 
+def _segment_crossing(a: complex, b: complex, c: float) -> int:
+    """Signed crossing of the cut by q(w) = (w - 1/2)^2 + c as w runs from a to b.
+
+    For real c >= 0, Im q = 2 (Re w - 1/2) Im w and, on the critical line,
+    q = c - (Im w)^2.  So q crosses the negative real axis exactly where the
+    segment crosses Re w = 1/2 at |Im w| > sqrt(c), once at most, and one
+    division finds the height.  Crossings are signed as
+    :func:`_signed_cut_crossings` signs them, with Im q = 0 (a point on the
+    line) in the upper half plane, so an end on the line or a segment along
+    it counts where the segment leaves the lower half plane or enters it.
+    The count is additive: splitting a segment at any of its points leaves
+    the sum unchanged.
+    """
+    d = b - a
+    ua, ub = a.real - 0.5, b.real - 0.5
+    if (ua < 0.0 < ub) or (ub < 0.0 < ua):  # crosses the line at the height v
+        v = a.imag + ua / (ua - ub) * d.imag
+        if v * v > c:
+            return 1 if d.real * v < 0.0 else -1
+    elif ua == 0.0 and ub != 0.0:  # leaves the line at a
+        if ub * a.imag < 0.0 and a.imag**2 > c:
+            return 1
+    elif ub == 0.0 and ua != 0.0:  # reaches the line at b
+        if ua * b.imag < 0.0 and b.imag**2 > c:
+            return -1
+    return 0
+
+
 def branch_sign(model, path: WPath) -> BranchSign:
     """Cut crossings and final branch of the pole 1/2 + sqrt(q(w)), exactly.
 
-    For the radicand q(w) = (w - 1/2)^2 + c with real c >= 0,
-    Im q = 2 (Re w - 1/2) Im w and, on the critical line, q = c - (Im w)^2.
-    So q crosses the negative real axis exactly where the path crosses
-    Re w = 1/2 at |Im w| > sqrt(c), once at most per linear segment, and one
-    division finds the height.  Crossings are signed as
-    :func:`_signed_cut_crossings` signs them, with Im q = 0 (a point on the
-    line) in the upper half plane, so a vertex on the line or a segment along
-    it counts where the path leaves the lower half plane or enters it.  The
-    end pole is 1/2 + final_sign * sqrt(q(w_end)), principal root.
+    The crossings are :func:`_segment_crossing` summed over the path's
+    segments.  The end pole is 1/2 + final_sign * sqrt(q(w_end)), principal
+    root.
 
-    The guards are those of tracking the root along samples: the path must
+    The guards, which ``continuation.continue_pole`` shares: the path must
     start right of the critical line, and |q| = |w - b+| |w - b-| must exceed
     :data:`COLLISION_TOL` at each segment's closest approach to each branch
     point b+- = 1/2 +- i sqrt(c).
@@ -274,17 +273,7 @@ def branch_sign(model, path: WPath) -> BranchSign:
                 raise BranchPointCollisionError(
                     f"path passes within {COLLISION_TOL:g} of the branch point {bp}"
                 )
-        ua, ub = a.real - 0.5, b.real - 0.5
-        if (ua < 0.0 < ub) or (ub < 0.0 < ua):  # crosses the line at the height v
-            v = a.imag + ua / (ua - ub) * d.imag
-            if v * v > c:
-                crossings += 1 if d.real * v < 0.0 else -1
-        elif ua == 0.0 and ub != 0.0:  # leaves the line at a
-            if ub * a.imag < 0.0 and a.imag**2 > c:
-                crossings += 1
-        elif ub == 0.0 and ua != 0.0:  # reaches the line at b
-            if ua * b.imag < 0.0 and b.imag**2 > c:
-                crossings -= 1
+        crossings += _segment_crossing(a, b, c)
     final_sign = +1 if crossings % 2 == 0 else -1
     u_end = path.end - 0.5
     return BranchSign(crossings, final_sign, 0.5 + final_sign * cmath.sqrt(u_end * u_end + c))

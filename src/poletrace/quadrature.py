@@ -71,6 +71,7 @@ def _gk15(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     return k, np.abs(k - g)
 
 
+@np.errstate(invalid="ignore")  # a non-finite value raises below, not as a warning
 def adaptive_quadrature(
     f: Callable,
     a: float,

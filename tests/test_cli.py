@@ -66,21 +66,18 @@ class TestTrace:
                      "--out", str(tmp_path)])
         assert code == 1
 
-    def test_sampled_branch_must_match_the_crossings(self, tmp_path, capsys):
+    def test_crossing_next_to_the_branch_point_at_the_default_step(self, tmp_path, capsys):
         # GL2Q, crossing the line within 1e-3 of w = 1/2: at step 0.01 the
-        # radicand turns by almost 2 pi between two samples
+        # radicand turns by almost 2 pi between two samples, and the branch
+        # still follows the path's crossing
         model = tmp_path / "gl2q.json"
         model.write_text(json.dumps({"kind": "GL2Q"}))
         w_end = complex(-0.5574136159573104, -1.4224353607243545)
         path = f"0.6389267989540318,0.1873838054085608;{w_end.real!r},{w_end.imag!r}"
-        argv = ["trace", "--model", str(model), "--path", path]
-        assert main(argv + ["--out", str(tmp_path / "coarse")]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "lower --step" in captured.err
-        assert not (tmp_path / "coarse").exists()
-        assert main(argv + ["--step", "1e-4", "--out", str(tmp_path / "fine")]) == 0
+        argv = ["trace", "--model", str(model), "--path", path, "--out", str(tmp_path)]
+        assert main(argv) == 0
         assert capsys.readouterr().out.startswith("final_sign -1, cut_crossings 1, pole end ")
-        payload = json.loads((tmp_path / "fine" / "trace.json").read_text())
+        payload = json.loads((tmp_path / "trace.json").read_text())
         assert payload["final_sign"] == -1
         assert abs(complex(*payload["pole_end"]) - w_end) <= 1e-12
 

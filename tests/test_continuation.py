@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import poletrace.continuation as continuation
 from poletrace.continuation import (
+    PATH_STEP,
     branching_difference,
     continue_integral,
     continue_pole,
@@ -20,7 +23,7 @@ from poletrace.errors import (
 )
 from poletrace.models import GrossencharParams, SpectralModel, denominator, poles, radicand
 from poletrace.numerators import Numerator
-from poletrace.paths import WPath, branch_sign
+from poletrace.paths import CurveSamples, WPath, branch_sign, sample_path, track_sqrt
 from poletrace.quadrature import (
     adaptive_line_quadrature,
     adaptive_quadrature,
@@ -80,9 +83,18 @@ class TestContinuePole:
 # -- the closed-form branch rule against the sampled tracker ---------------
 
 
+def _tracked(model, path):
+    """The root tracked along the radicand polyline of the path's samples.
+
+    track_sqrt counts crossings of the cut in the radicand's own plane and
+    shares no code with the closed-form rule on w-segments.
+    """
+    return track_sqrt(CurveSamples(radicand(model, sample_path(path, PATH_STEP).samples)))
+
+
 def _agree(model, path):
-    """branch_sign and continue_pole give the same crossings, sign and end pole."""
-    exact, sampled = branch_sign(model, path), continue_pole(model, path)
+    """branch_sign and the tracked root give the same crossings, sign and end pole."""
+    exact, sampled = branch_sign(model, path), _tracked(model, path)
     assert exact.cut_crossings == sampled.cut_crossings
     assert exact.final_sign == sampled.final_sign
     assert abs(exact.end_pole - _pole_end(sampled)) <= 1e-12 * max(1.0, abs(exact.end_pole))
@@ -111,10 +123,14 @@ class TestBranchSign:
         assume(abs(points[-1].real - 0.5) > 1e-3)  # an end pole off the cut has one value
         path = WPath(points)
         try:
-            continue_pole(model, path)
+            _tracked(model, path)
         except BranchPointCollisionError:
             _both_raise(BranchPointCollisionError, model, path)
             return
+        try:
+            branch_sign(model, path)
+        except BranchPointCollisionError:
+            return  # the samples step over a branch point that the path runs through
         _agree(model, path)
 
     @pytest.mark.parametrize("points, crossings", [
@@ -164,6 +180,40 @@ class TestBranchSign:
     def test_left_start_rejected(self):
         for start in (0.3 + 0j, 0.5 + 1j):
             _both_raise(StartInLeftHalfPlaneError, hilbert(1.0), WPath((start, 1.2 + 1j)))
+
+
+class TestContinuePoleFollowsBranchSign:
+    """The sampled trace carries branch_sign's branch at every step."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=st.one_of(st.floats(0.3, 1.5).map(hilbert),
+                           st.floats(0.0, 2.0).map(SpectralModel.gl3_cuspidal),
+                           st.just(SpectralModel.gl2q())),
+           step=st.sampled_from((0.5, 0.1, 0.01)), data=st.data())
+    def test_crossings_sign_and_poles(self, model, step, data):
+        points = [data.draw(_w((0.55, 2.5))),
+                  *data.draw(st.lists(_w((-1.5, 2.5)), min_size=1, max_size=4))]
+        if data.draw(st.booleans()):
+            # a segment across the line within 1e-3 of a branch point
+            side = data.draw(st.sampled_from((1.0, -1.0)))
+            mid = complex(0.5, side * math.sqrt(model.c) + data.draw(st.floats(-1e-3, 1e-3)))
+            half = data.draw(_w((0.05, 1.0), (-1.0, 1.0)))
+            at = data.draw(st.integers(1, len(points)))
+            points[at:at] = [mid + half, mid - half]
+        assume(all(a != b for a, b in zip(points, points[1:])))
+        path = WPath(tuple(points))
+        try:
+            exact = branch_sign(model, path)
+        except BranchPointCollisionError:
+            with pytest.raises(BranchPointCollisionError):
+                continue_pole(model, path, step)
+            return
+        trace = continue_pole(model, path, step)
+        assert (trace.cut_crossings, trace.final_sign) == (exact.cut_crossings, exact.final_sign)
+        q, root = trace.radicand_samples.samples, trace.sqrt_samples.samples
+        s = 0.5 + root
+        assert np.all(np.abs((s - 0.5) ** 2 - q) <= 1e-12 * (1.0 + np.abs(q)))
+        assert abs(s[-1] - exact.end_pole) <= 1e-12
 
 
 def four_step_endpoint(numerator, model, w_end, T=40.0, tol=1e-12):

@@ -107,12 +107,27 @@ class TestTrackSqrt:
         with pytest.raises(BranchAmbiguityError):
             track_sqrt(cs)
 
-    def test_near_origin_chord_resolved_by_refinement(self):
+    def test_near_origin_chord_above_the_cut_keeps_the_branch(self):
         # coarse samples pass near 0 without crossing the cut
         cs = CurveSamples(np.array([-1 + 0.001j, 1 + 0.001j]))
         trace = track_sqrt(cs)
         assert trace.cut_crossings == 0
         assert trace.final_sign == +1
+        assert np.allclose(trace.sqrt_samples.samples, np.sqrt(cs.samples))
+
+    def test_chord_through_the_branch_point_collides(self):
+        # both samples are far from 0, but the chord between them passes 1e-9 above it
+        cs = CurveSamples(np.array([-1 + 1e-9j, 1 + 1e-9j]))
+        assert np.min(np.abs(cs.samples)) > 0.5
+        with pytest.raises(BranchPointCollisionError, match="curve passes within"):
+            track_sqrt(cs)
+
+    def test_negative_zero_on_the_cut_counts_as_upper(self):
+        # -4 - 0j lies on the cut like -4 + 0j: reached from above, no crossing
+        cs = CurveSamples(np.array([-4 + 1j, complex(-4.0, -0.0), -4 + 1j]))
+        trace = track_sqrt(cs)
+        assert trace.cut_crossings == 0
+        assert trace.sqrt_samples.samples[1] == 2j
 
     @pytest.mark.parametrize("t_norm,alpha", [(1.0, 2.0), (0.5, -1.6), (2.0, 0.4), (1.0, -0.7)])
     def test_invariants(self, t_norm, alpha):

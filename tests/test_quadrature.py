@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,11 +88,14 @@ class TestAdaptiveQuadrature:
         assert calls == [15] and lo <= bad[0] <= hi
 
     def test_inf_at_one_node_names_its_panel(self):
-        # three starting panels; the second holds the inf
+        # three starting panels; the second holds the inf.  The exception
+        # reports it, with no invalid-value warning from the sums before it
         f, calls, bad = _poisoned(1, 15 + 7, np.inf)
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(QuadratureFailureError, match="not finite") as info:
-            adaptive_quadrature(f, 0.0, 3.0, initial_points=[1.0, 2.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(QuadratureFailureError, match="not finite") as info:
+                adaptive_quadrature(f, 0.0, 3.0, initial_points=[1.0, 2.0])
+        assert caught == []
         assert info.value.worst_interval == (1.0, 2.0)
         assert len(calls) == 1 and 1.0 <= bad[0] <= 2.0
 

@@ -74,15 +74,17 @@ def test_tracer_records_a_continuation_and_restores_the_package(monkeypatch):
                 "models.radicand.calls"):
         assert summary["counts"].get(key, 0) >= 1, key
 
-    # the trace command's route still samples the path
+    # the trace command's route samples the path, and decides the branch
+    # by the closed-form rule instead of tracking the root
     with tracer_module.Tracer() as tracer:
         traced_trace = poletrace.continue_pole(model, path)
     summary = tracer.summary()
 
     assert traced_trace.final_sign == untraced_trace.final_sign
-    for name in ("continuation.continue_pole", "paths.sample_path", "paths.track_sqrt"):
+    for name in ("continuation.continue_pole", "paths.sample_path"):
         assert summary["calls"].get(name, 0) == 1, name
-    for key in ("paths.sample_path.samples", "paths.track_sqrt.samples", "models.radicand.calls"):
+    assert summary["calls"].get("paths.track_sqrt", 0) == 0
+    for key in ("paths.sample_path.samples", "models.radicand.calls"):
         assert summary["counts"].get(key, 0) >= 1, key
 
     after = _package_names()
