@@ -11,7 +11,9 @@ where xi is the completed zeta function and (C1, C2) = (1, 4), the standard
 expansion (Iwaniec, Spectral Methods of Automorphic Forms, ch. 3).  The
 acceptance criterion for the evaluator fits both constants by least squares
 against the coset sum and checks them against these values.  The Fourier
-form is valid on the critical line, where the coset sum diverges.
+form is valid on the critical line, where the coset sum diverges.  Next to
+s = 1/2, where the two xi poles cancel, xi(2s) E(s, z) comes from a Cauchy
+circle instead (Trefethen and Weideman, SIAM Review 56 (2014) 385-458).
 
 Everything on the Fourier side is vectorized over arrays of s: zeta() uses a
 truncated Dirichlet sum with Euler-Maclaurin correction terms (Bernoulli
@@ -80,25 +82,19 @@ def _unwrap(out: np.ndarray, shape: tuple):
     return complex(out[0]) if shape == () else out.reshape(shape)
 
 
-def zeta(s, n_terms: int | None = None, n_corrections: int = 25):
+def zeta(s):
     """Riemann zeta by Dirichlet sum plus Euler-Maclaurin tail, elementwise.
 
-    Accepts a scalar (returns a complex) or an array of s.  Tests check the
-    default settings against mpmath for |Im s| <= 480: relative error below
+    Accepts a scalar (returns a complex) or an array of s.  Tests check it
+    against mpmath for |Im s| <= 480: relative error below
     1e-12 at Re s = 1.5 and 2.5, and on the critical line, where the
     relative error grows next to the zeros, error below
-    1e-11 * max(1, |zeta(s)|).  Doubling both settings gives the self-oracle
-    used in tests.
+    1e-11 * max(1, |zeta(s)|).
     """
     sv, shape = _as_array(s, complex)
     if np.any(np.abs(sv - 1.0) < 1e-12):
         raise DomainError("zeta has a pole at s = 1")
-    if n_corrections < 1 or 2 * n_corrections >= len(_BERNOULLI):
-        raise DomainError(f"n_corrections out of range: {n_corrections}")
-    if n_terms is None:
-        N = np.maximum(32, (0.8 * np.abs(sv.imag)).astype(int) + 16)
-    else:
-        N = np.full(sv.shape, int(n_terms))
+    N = np.maximum(32, (0.8 * np.abs(sv.imag)).astype(int) + 16)
     # the Dirichlet sum runs over rows padded to a multiple of 32 that depends
     # on the element's own N, so its summation order ignores the batch
     padded = 32 * -(-N // 32)
@@ -111,7 +107,7 @@ def zeta(s, n_terms: int | None = None, n_corrections: int = 25):
     total += N ** (1.0 - sv) / (sv - 1.0) + 0.5 * N ** (-sv)
     rising = sv.copy()  # (s)_(2k-1) built up incrementally
     npow = N ** (-sv - 1.0)
-    for k in range(1, n_corrections + 1):
+    for k in range(1, 26):  # Euler-Maclaurin terms through B_50
         total += _BERNOULLI[2 * k] / math.factorial(2 * k) * rising * npow
         rising *= (sv + 2 * k - 1) * (sv + 2 * k)
         npow /= N * N
@@ -378,10 +374,6 @@ class UpperHalfPoint:
         if not self.y > 0:
             raise ValidationError(f"upper half plane requires y > 0, got y = {self.y}")
 
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
 
 @dataclass
 class EisensteinParams:
@@ -390,7 +382,6 @@ class EisensteinParams:
     s: complex
     n_terms: int = 30
     mode: str = "fourier"
-    max_coeff: int = 2000
 
     def __post_init__(self):
         if self.mode not in ("fourier", "lattice_sum"):
@@ -399,22 +390,18 @@ class EisensteinParams:
             raise ValidationError(f"n_terms must be >= 0, got {self.n_terms}")
 
 
-def _lattice_sum(s: complex, z: UpperHalfPoint, max_coeff: int) -> complex:
-    """Truncated coset sum over coprime bottom rows, shell by shell."""
+def _lattice_sum(s: complex, z: UpperHalfPoint) -> complex:
+    """Coset sum over coprime bottom rows, shell by shell to max(|c|, |d|) = 2000."""
     s = complex(s)
     if s.real <= 1.0:
         raise DivergentSumError(f"coset sum diverges for Re(s) <= 1, got {s}")
     x, y = z.x, z.y
     total = complex(y**s)  # the (c, d) = (0, 1) class
-    for m in range(1, max_coeff + 1):
+    for m in range(1, 2001):
         d_full = np.arange(-m, m + 1)
-        c_col = np.full_like(d_full, m)
-        if m > 1:
-            c_edge = np.arange(1, m)
-            c_all = np.concatenate([c_col, c_edge, c_edge])
-            d_all = np.concatenate([d_full, np.full_like(c_edge, m), np.full_like(c_edge, -m)])
-        else:
-            c_all, d_all = c_col, d_full
+        c_edge = np.arange(1, m)  # empty for m = 1
+        c_all = np.concatenate([np.full_like(d_full, m), c_edge, c_edge])
+        d_all = np.concatenate([d_full, np.full_like(c_edge, m), np.full_like(c_edge, -m)])
         cop = np.gcd(c_all, np.abs(d_all)) == 1
         c_all, d_all = c_all[cop], d_all[cop]
         r2 = (c_all * x + d_all) ** 2 + (c_all * y) ** 2
@@ -483,15 +470,30 @@ def _fourier_pieces(s: np.ndarray, z: UpperHalfPoint, n_terms: int):
     return pieces
 
 
+def _completed(s: np.ndarray, z: UpperHalfPoint, n_terms: int) -> np.ndarray:
+    """xi(2s) y^s + C1 xi(2s-1) y^(1-s) + C2 sqrt(y) * Bessel sum, per s."""
+    c1, c2 = FOURIER_CONSTANTS
+    xi_2s, xi_2s1, acc = _fourier_pieces(s, z, n_terms)
+    return xi_2s * z.y**s + c1 * xi_2s1 * z.y ** (1.0 - s) + c2 * np.sqrt(z.y) * acc
+
+
+_CENTER_ZONE = 1e-3
+#: trapezoid ring h_j = r exp(2 pi i (j + 1/2) / n), r = 0.1, n = 24, about 1/2;
+#: E*'s poles at s = 0 and 1 put its error at about (2r)^n
+_RING = 0.1 * np.exp(2j * np.pi * (np.arange(24) + 0.5) / 24)
+
+
+def _center_coefficients(ring_values: np.ndarray) -> np.ndarray:
+    """Taylor coefficients a_k, k < n, of E* at 1/2: the means of E*(1/2 + h_j) h_j^(-k)."""
+    k = np.arange(_RING.size)
+    return np.mean(ring_values[:, None] * _RING[:, None] ** -k, axis=0)
+
+
 def eisenstein_gl2(params: EisensteinParams, z: UpperHalfPoint) -> complex:
     """Evaluate the real-analytic Eisenstein series for the full modular group."""
     if params.mode == "lattice_sum":
-        return _lattice_sum(params.s, z, params.max_coeff)
-    c1, c2 = FOURIER_CONSTANTS
-    s = np.array([complex(params.s)])
-    xi_2s, xi_2s1, acc = _fourier_pieces(s, z, params.n_terms)
-    value = z.y**s + (c1 * xi_2s1 * z.y ** (1.0 - s) + c2 * np.sqrt(z.y) * acc) / xi_2s
-    return complex(value[0])
+        return _lattice_sum(params.s, z)
+    return eisenstein_gl2_completed(params.s, z, params.n_terms) / xi(2.0 * complex(params.s))
 
 
 def eisenstein_gl2_completed(s, z: UpperHalfPoint, n_terms: int = 30):
@@ -500,20 +502,18 @@ def eisenstein_gl2_completed(s, z: UpperHalfPoint, n_terms: int = 30):
     Accepts a scalar s (returns a complex) or an array of s, evaluated in one
     pass.  Assembled directly from the Fourier pieces so no xi factor is
     divided out and remultiplied; decays exponentially on the critical line.
-    The two constant-term xi poles at s = 1/2 cancel analytically;
-    evaluations inside a 1e-5 neighbourhood of the center are nudged onto its
-    boundary, where the cancellation still leaves ~1e-10 relative accuracy.
-    The nudge direction is canonicalized so that s and 1-s land on the same
-    point, keeping the evenness around the center exact.
+    Within 1e-3 of s = 1/2, where the constant term's two xi poles cancel,
+    E* is its Taylor series in (s - 1/2)^2, with coefficients from a 24-point
+    trapezoid ring of radius 0.1 in the same pass, so 1/2 + u and 1/2 - u give
+    the same bits; tests check it there against mpmath to a relative 1e-13.
     """
     sv, shape = _as_array(s, complex)
-    offset = sv - 0.5
-    near = np.abs(offset) < 1e-5
-    if np.any(near):
-        d = np.where(offset == 0, 1.0, offset / np.where(offset == 0, 1.0, np.abs(offset)))
-        d = np.where((d.real < 0.0) | ((d.real == 0.0) & (d.imag < 0.0)), -d, d)
-        sv = np.where(near, 0.5 + 1e-5 * d, sv)
-    c1, c2 = FOURIER_CONSTANTS
-    xi_2s, xi_2s1, acc = _fourier_pieces(sv, z, n_terms)
-    value = xi_2s * z.y**sv + c1 * xi_2s1 * z.y ** (1.0 - sv) + c2 * np.sqrt(z.y) * acc
-    return _unwrap(value, shape)
+    near = np.abs(sv - 0.5) < _CENTER_ZONE
+    if not np.any(near):
+        return _unwrap(_completed(sv, z, n_terms), shape)
+    values = _completed(np.concatenate([sv[~near], 0.5 + _RING]), z, n_terms)
+    out = np.empty(sv.shape, dtype=complex)
+    out[~near] = values[:-_RING.size]
+    coeffs = _center_coefficients(values[-_RING.size:])
+    out[near] = np.polyval(coeffs[::2][::-1], (sv[near] - 0.5) ** 2)
+    return _unwrap(out, shape)

@@ -55,10 +55,6 @@ class GrossencharParams:
     def norm_sq(self) -> float:
         return float(sum(x * x for x in self.t) / len(self.t))
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(x == 0.0 for x in self.t)
-
 
 @dataclass(frozen=True)
 class SpectralModel:
@@ -218,27 +214,29 @@ def denominator(model: SpectralModel, s, w: complex):
     return model.a * ((np.asarray(s, dtype=complex) - 0.5) ** 2 - q)
 
 
-def eigenvalue_minparabolic_power(s1: complex, s2: complex, s3: complex) -> complex:
+def eigenvalue_minparabolic_power(s1, s2, s3):
     """Casimir eigenvalue from diagonal-power character exponents (s1, s2, s3).
 
-    Requires s1 + s2 + s3 = 0 and evaluates 2(s1^2 + s1 s2 + s2^2 - 2 s1 - s2).
+    Requires s1 + s2 + s3 = 0 and evaluates 2(s1^2 + s1 s2 + s2^2 - 2 s1 - s2),
+    elementwise on arrays; scalars give a complex.
     """
-    s1, s2, s3 = complex(s1), complex(s2), complex(s3)
+    s1, s2, s3 = (np.asarray(v, dtype=complex) for v in (s1, s2, s3))
     trace = s1 + s2 + s3
-    scale = max(1.0, abs(s1) + abs(s2) + abs(s3))
-    if abs(trace) > 1e-12 * scale:
-        raise InvalidCharacterError(f"character exponents must sum to 0, got {trace}")
-    return 2.0 * (s1 * s1 + s1 * s2 + s2 * s2 - 2.0 * s1 - s2)
+    bad = np.abs(trace) > 1e-12 * np.maximum(1.0, np.abs(s1) + np.abs(s2) + np.abs(s3))
+    if np.any(bad):
+        raise InvalidCharacterError(f"character exponents must sum to 0, got {trace[bad].flat[0]}")
+    out = 2.0 * (s1 * s1 + s1 * s2 + s2 * s2 - 2.0 * s1 - s2)
+    return complex(out) if out.ndim == 0 else out
 
 
-def eigenvalue_minparabolic_root(
-    s_alpha: complex, s_beta: complex, s_alphabeta: complex
-) -> complex:
-    """Casimir eigenvalue from positive-root coefficients of the character."""
-    sa, sb, sab = complex(s_alpha), complex(s_beta), complex(s_alphabeta)
-    return 2.0 * (
-        sa * sa + sb * sb - sa * sb + sa * sab + sb * sab - sa - sb - 2.0 * sab
-    )
+def eigenvalue_minparabolic_root(s_alpha, s_beta, s_alphabeta):
+    """Casimir eigenvalue from positive-root coefficients of the character.
+
+    Elementwise on arrays; scalars give a complex.
+    """
+    sa, sb, sab = (np.asarray(v, dtype=complex) for v in (s_alpha, s_beta, s_alphabeta))
+    out = 2.0 * (sa * sa + sb * sb - sa * sb + sa * sab + sb * sab - sa - sb - 2.0 * sab)
+    return complex(out) if out.ndim == 0 else out
 
 
 def radicand(model: SpectralModel, w):

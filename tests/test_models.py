@@ -74,8 +74,6 @@ class TestGrossenchar:
     def test_norm_sq(self):
         chi = GrossencharParams((1.0, -1.0))
         assert chi.norm_sq == pytest.approx(1.0)
-        assert not chi.is_trivial
-        assert GrossencharParams((0.0, 0.0)).is_trivial
 
 
 class TestEigenvalue:
@@ -149,6 +147,21 @@ class TestMinParabolic:
 
     def test_root_example(self):
         assert eigenvalue_minparabolic_root(1, 1, 0) == pytest.approx(-2.0)
+
+    def test_arrays_match_scalar_calls(self):
+        rng = np.random.default_rng(8)
+        u = rng.uniform(-3.0, 3.0, (50, 4))
+        s1, s2 = u[:, 0] + 1j * u[:, 1], u[:, 2] + 1j * u[:, 3]
+        power = eigenvalue_minparabolic_power(s1, s2, -s1 - s2)
+        root = eigenvalue_minparabolic_root(s1, s2, -s1 - s2)
+        for i in range(s1.size):
+            want = eigenvalue_minparabolic_power(s1[i], s2[i], -s1[i] - s2[i])
+            assert isinstance(want, complex)
+            assert abs(power[i] - want) <= 1e-14 * abs(want)
+            want = eigenvalue_minparabolic_root(s1[i], s2[i], -s1[i] - s2[i])
+            assert abs(root[i] - want) <= 1e-14 * abs(want)
+        with pytest.raises(InvalidCharacterError):
+            eigenvalue_minparabolic_power(s1, s2, np.where(np.arange(50) == 7, 1.0, -s1 - s2))
 
     @given(s1=complexes, s2=complexes)
     @settings(max_examples=300, deadline=None)
