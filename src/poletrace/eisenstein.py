@@ -484,7 +484,7 @@ _RING = 0.1 * np.exp(2j * np.pi * (np.arange(24) + 0.5) / 24)
 
 
 def _center_coefficients(ring_values: np.ndarray) -> np.ndarray:
-    """Taylor coefficients a_k, k < n, of E* at 1/2: the means of E*(1/2 + h_j) h_j^(-k)."""
+    """Taylor coefficients a_k, k < n, at c of f given at c + h_j: the means of f h_j^(-k)."""
     k = np.arange(_RING.size)
     return np.mean(ring_values[:, None] * _RING[:, None] ** -k, axis=0)
 
