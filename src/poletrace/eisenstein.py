@@ -504,8 +504,8 @@ def eisenstein_gl2_completed(s, z: UpperHalfPoint, n_terms: int = 30):
     divided out and remultiplied; decays exponentially on the critical line.
     Within 1e-3 of s = 1/2, where the constant term's two xi poles cancel,
     E* is its Taylor series in (s - 1/2)^2, with coefficients from a 24-point
-    trapezoid ring of radius 0.1 in the same pass, so 1/2 + u and 1/2 - u give
-    the same bits; tests check it there against mpmath to a relative 1e-13.
+    trapezoid ring of radius 0.1 in the same pass; offsets s - 1/2 = +-u give
+    the same bits (s = 1/2 +- i tau, say).  Tests check the zone to a relative 1e-13.
     """
     sv, shape = _as_array(s, complex)
     near = np.abs(sv - 0.5) < _CENTER_ZONE
