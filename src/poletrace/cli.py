@@ -213,8 +213,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--path", help="outside path")
     p.add_argument("--path2", help="inside path")
     p.add_argument("--w-end", dest="w_end")
-    p.add_argument("--T", type=float)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--T", type=float, help="height of the numerator's symmetry probe")
 
     p = add("verify", "run acceptance criterion suites")
     p.add_argument("--suite", default="all", help=f"one of {', '.join(sorted(SUITES))}")
@@ -292,8 +291,7 @@ def _cmd_diff(args, config) -> int:
         raise ValidationError("no endpoint given (flag --w-end or config key 'w-end')")
     w_end = _parse_complex(w_end_text)
     T = float(_setting(args, config, "T", 40.0))
-    tol = float(_setting(args, config, "tol", 1e-11))
-    difference, term = branching_difference(numerator, model, w_end, path1, path2, T=T, tol=tol)
+    difference, term = branching_difference(numerator, model, w_end, path1, path2, T=T)
     agreement = abs(difference - term.term_value) / max(abs(term.term_value), 1e-300)
     payload = {
         "difference": [difference.real, difference.imag],

@@ -21,7 +21,8 @@ either side of it.  The correction is the moderate-growth term
 
 with s* the continued pole, on top of the direct line integral at the path
 end; the difference of a branch-flipping and a branch-keeping continuation
-to the same end point is exactly that term.
+to the same end point is exactly that term, so ``diff`` computes no line
+integral.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ ENDPOINT_MARGIN = 0.05
 PATH_STEP = 0.01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrectionTerm:
     """The moderate-growth term picked up by a branch-flipping continuation."""
 
@@ -131,8 +132,8 @@ def continue_pole(model: SpectralModel, path: WPath, step: float = PATH_STEP) ->
     return _branch_trace(radicand(model, w), crossings)
 
 
-def _require_settings(T: float, tol: float) -> None:
-    for name, value in (("T", T), ("tol", tol)):
+def _require_settings(**settings: float) -> None:
+    for name, value in settings.items():
         if not (np.isfinite(value) and value > 0):
             raise ValidationError(f"{name} must be positive and finite, got {value}")
 
@@ -145,38 +146,6 @@ def _require_poles_off_line(model: SpectralModel, w_end: complex) -> None:
             f"poles 1/2 +- ({root:.6g}) at endpoint {w_end} lie within "
             f"{ENDPOINT_MARGIN} of the critical line"
         )
-
-
-def _line_integral(
-    numerator: Callable, model: SpectralModel, w_end: complex, T: float, tol: float
-) -> tuple[complex, float]:
-    """The direct line integral at the path end, completed beyond T where it can be.
-
-    A constant numerator's integrand decays only like |tau|^(-2 nu), so its
-    part beyond |Im s| = T is added in closed form
-    (:func:`quadrature.singular_line_tail`); no tail is added for the other
-    numerators.
-    """
-    direct, err = direct_line_integral(numerator, model, w_end, T=T, tol=tol)
-    if isinstance(numerator, Numerator) and numerator.kind == "constant":
-        tail = numerator.value * numerator.scale * singular_line_tail(model, w_end, T)
-        direct += complex(tail)
-    return direct, err
-
-
-def _continued(
-    numerator: Callable, model: SpectralModel, trace: BranchSign, direct: complex, err: float
-) -> ContinuationResult:
-    """The direct value at the path end plus the term a flipped branch owes."""
-    corrections: list[CorrectionTerm] = []
-    endpoint_value = direct
-    if trace.final_sign == -1:
-        term = _correction_term(numerator, model, trace.end_pole)
-        corrections.append(term)
-        endpoint_value = direct + term.term_value
-    return ContinuationResult(
-        endpoint_value=endpoint_value, corrections=corrections, trace=trace, est_error=err
-    )
 
 
 def continue_integral(
@@ -192,15 +161,27 @@ def continue_integral(
     the tracked branch ends flipped, the closed-form correction term at the
     continued pole.  The path may cross the critical line any number of
     times; the poles at its end must stay :data:`ENDPOINT_MARGIN` away from
-    the line.
+    the line.  A constant numerator's integrand decays only like
+    |tau|^(-2 nu), so its part beyond |Im s| = T is added in closed form
+    (:func:`quadrature.singular_line_tail`); no tail is added for the other
+    numerators.
     """
-    _require_settings(T, tol)
+    _require_settings(T=T, tol=tol)
     w_end = path.end
     _require_poles_off_line(model, w_end)
     check_line_symmetry(numerator, T)
     trace = branch_sign(model, path)
-    direct, err = _line_integral(numerator, model, w_end, T, tol)
-    return _continued(numerator, model, trace, direct, err)
+    endpoint_value, err = direct_line_integral(numerator, model, w_end, T=T, tol=tol)
+    if isinstance(numerator, Numerator) and numerator.kind == "constant":
+        tail = numerator.value * numerator.scale * singular_line_tail(model, w_end, T)
+        endpoint_value += complex(tail)
+    corrections: list[CorrectionTerm] = []
+    if trace.final_sign == -1:
+        corrections.append(_correction_term(numerator, model, trace.end_pole))
+        endpoint_value += corrections[0].term_value
+    return ContinuationResult(
+        endpoint_value=endpoint_value, corrections=corrections, trace=trace, est_error=err
+    )
 
 
 def branching_difference(
@@ -210,21 +191,22 @@ def branching_difference(
     path1: WPath,
     path2: WPath,
     T: float = 40.0,
-    tol: float = 1e-11,
 ) -> tuple[complex, CorrectionTerm]:
     """Difference of the continuations along an outside and an inside path.
 
     Both paths must end at ``w_end``.  The pair is accepted when the tracked
     branch says so: ``path1`` ends flipped (``final_sign == -1``) and
     ``path2`` ends on the branch it started on.  Either path may cross the
-    critical line any number of times.  The two continuations share their
-    end point, so the symmetry probe and the direct integral run once.
-    Returns the numerically computed difference and, independently, the
-    closed-form correction term at the continued pole
-    s* = 1/2 - sqrt((w_end - 1/2)^2 + c); the two agree for a correct
-    continuation pipeline.
+    critical line any number of times.  The two continuations share the
+    direct line integral at their end point, which cancels from the
+    difference, so none is computed: the difference is the correction term
+    at ``path1``'s continued pole, from the branch rule.  Returns it and,
+    independently, the closed-form term at s* = 1/2 - sqrt((w_end - 1/2)^2 + c);
+    the two agree when the branch rule continues the pole correctly.  The
+    numerator's symmetry is probed on |Im s| <= T, as for
+    :func:`continue_integral`.
     """
-    _require_settings(T, tol)
+    _require_settings(T=T)
     w_end = complex(w_end)
     for path in (path1, path2):
         if path.end != w_end:
@@ -239,11 +221,7 @@ def branching_difference(
         )
 
     check_line_symmetry(numerator, T)
-    direct, err = _line_integral(numerator, model, w_end, T, tol)
-    r1 = _continued(numerator, model, outside, direct, err)
-    r2 = _continued(numerator, model, inside, direct, err)
-    difference = r1.endpoint_value - r2.endpoint_value
-
+    difference = _correction_term(numerator, model, outside.end_pole).term_value
     s_star = 0.5 - np.sqrt(radicand(model, w_end))
     return difference, _correction_term(numerator, model, s_star)
 

@@ -363,7 +363,7 @@ def bessel_k(order, x):
 # -- Eisenstein series ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpperHalfPoint:
     """A point x + iy in the upper half plane."""
 
@@ -490,10 +490,18 @@ def _center_coefficients(ring_values: np.ndarray) -> np.ndarray:
 
 
 def eisenstein_gl2(params: EisensteinParams, z: UpperHalfPoint) -> complex:
-    """Evaluate the real-analytic Eisenstein series for the full modular group."""
+    """Evaluate the real-analytic Eisenstein series for the full modular group.
+
+    Inside xi's pole window |2s - 1| < 1e-12, E = E*(s, z) (2s - 1): xi has
+    residue 1 at 1, so 1/xi(2s) = (2s - 1)(1 + O(2s - 1)), and E(1/2, z) = 0.
+    """
     if params.mode == "lattice_sum":
         return _lattice_sum(params.s, z)
-    return eisenstein_gl2_completed(params.s, z, params.n_terms) / xi(2.0 * complex(params.s))
+    s = complex(params.s)
+    completed = eisenstein_gl2_completed(s, z, params.n_terms)
+    if abs(2.0 * s - 1.0) < 1e-12:
+        return completed * (2.0 * s - 1.0) + 0.0  # + 0.0 turns -0.0 into +0.0
+    return completed / xi(2.0 * s)
 
 
 def eisenstein_gl2_completed(s, z: UpperHalfPoint, n_terms: int = 30):

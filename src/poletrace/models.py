@@ -28,7 +28,7 @@ class ModelKind(str, enum.Enum):
     GL3_CUSPIDAL = "GL3Cuspidal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GrossencharParams:
     """Real parameters (t_1, ..., t_n) of an unramified grossencharacter.
 
@@ -56,7 +56,7 @@ class GrossencharParams:
         return float(sum(x * x for x in self.t) / len(self.t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralModel:
     """An eigenvalue family lambda(s) with factorization data (a, c, nu)."""
 
@@ -155,7 +155,7 @@ class SpectralModel:
         return model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolePair:
     """The two poles of the spectral integrand; they always sum to 1."""
 

@@ -5,8 +5,8 @@ with Gaussian decay on the critical line; the Eisenstein product uses the
 completed normalization (so each factor satisfies the functional equation
 exactly and the product decays exponentially on the line).  A constant is
 admissible for both pole orders: its integrand decays like |Im s|^(-2 nu), so
-the full-line integral converges, and ``continue`` and ``diff`` add its part
-beyond the truncation height T in closed form.
+the full-line integral converges, and ``continue`` adds its part beyond the
+truncation height T in closed form.  Non-finite fields are refused.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .eisenstein import UpperHalfPoint, eisenstein_gl2_completed
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Numerator:
     """A symmetric numerator N(s); call it on scalars or arrays of s."""
 
@@ -37,6 +37,9 @@ class Numerator:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValidationError(f"unknown numerator kind {self.kind!r}")
+        for name in ("scale", "value", "width"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"numerator {name} must be finite, got {getattr(self, name)}")
         if self.kind == "gaussian" and not self.width > 0:
             raise ValidationError(f"gaussian width must be positive, got {self.width}")
         if self.kind == "eisenstein_product" and (self.z0 is None or self.z is None):

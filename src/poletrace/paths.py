@@ -41,7 +41,7 @@ BOUNDARY_TOL = 1e-9
 MAX_PATH_SAMPLES = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WPath:
     """Piecewise-linear path of a complex parameter.
 
@@ -202,7 +202,7 @@ def _branch_trace(z: np.ndarray, crossings: np.ndarray) -> BranchTrace:
     return BranchTrace(CurveSamples(z), CurveSamples(roots), total, +1 if total % 2 == 0 else -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchSign:
     """Branch bookkeeping of a pole continued along a w-path, without samples.
 
@@ -279,7 +279,7 @@ def branch_sign(model, path: WPath) -> BranchSign:
     return BranchSign(crossings, final_sign, 0.5 + final_sign * cmath.sqrt(u_end * u_end + c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParabolaCoeffs:
     """Coefficients of the analytic radicand parabola x = a2*y^2 + c0."""
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricNumeratorError,
+    NumericalError,
     PoleOnContourError,
     QuadratureFailureError,
     ValidationError,
@@ -238,11 +239,15 @@ def check_line_symmetry(numerator: Callable, T: float) -> float:
     """Max asymmetry |N(1/2 + i tau) - N(1/2 - i tau)| over 64 heights in [0, T].
 
     The numerator is called once, on all probe points; the heights are built
-    once per T.  Raises when the asymmetry exceeds :data:`SYMMETRY_TOL` * max |N|.
+    once per T.  Raises when the asymmetry exceeds :data:`SYMMETRY_TOL` * max |N|,
+    and NumericalError, naming the lowest such height, when N is not finite.
     """
     tau = _probe_heights(T)
     values = np.asarray(numerator(np.concatenate((0.5 + 1j * tau, 0.5 - 1j * tau))), dtype=complex)
     up, dn = values[: len(tau)], values[len(tau) :]
+    bad = ~(np.isfinite(up) & np.isfinite(dn))
+    if np.any(bad):
+        raise NumericalError(f"numerator is not finite at s = 1/2 +- {tau[bad].min():.6g}i")
     scale = float(np.max(np.abs(up)))
     worst = float(np.max(np.abs(up - dn)))
     if worst > SYMMETRY_TOL * max(scale, 1e-300):

@@ -8,17 +8,30 @@ def bessel_k(order: complex, x: float) -> complex:
         return complex(mp.besselk(mp.mpc(order), x))
 
 
+def _xi(u):
+    return mp.pi ** (-u / 2) * mp.gamma(u / 2) * mp.zeta(u)
+
+
+def _estar(s, x, y, n_terms: int):
+    s, x, y = mp.mpc(s), mp.mpf(x), mp.mpf(y)
+    acc = mp.mpc(0)
+    for n in range(1, n_terms + 1):
+        sigma = mp.fsum(mp.mpf(d) ** (1 - 2 * s) for d in range(1, n + 1) if n % d == 0)
+        acc += (mp.mpf(n) ** (s - 0.5) * sigma * mp.besselk(s - 0.5, 2 * mp.pi * n * y)
+                * mp.cos(2 * mp.pi * n * x))
+    return _xi(2 * s) * y**s + _xi(2 * s - 1) * y ** (1 - s) + 4 * mp.sqrt(y) * acc
+
+
 def estar(s: complex, x: float, y: float, n_terms: int, dps: int = 30) -> complex:
     """Completed series xi(2s) E(s, z) from its Fourier expansion, at dps digits."""
     with mp.workdps(dps):
-        s, x, y = mp.mpc(s), mp.mpf(x), mp.mpf(y)
-        xi = lambda u: mp.pi ** (-u / 2) * mp.gamma(u / 2) * mp.zeta(u)
-        acc = mp.mpc(0)
-        for n in range(1, n_terms + 1):
-            sigma = mp.fsum(mp.mpf(d) ** (1 - 2 * s) for d in range(1, n + 1) if n % d == 0)
-            acc += (mp.mpf(n) ** (s - 0.5) * sigma * mp.besselk(s - 0.5, 2 * mp.pi * n * y)
-                    * mp.cos(2 * mp.pi * n * x))
-        return complex(xi(2 * s) * y**s + xi(2 * s - 1) * y ** (1 - s) + 4 * mp.sqrt(y) * acc)
+        return complex(_estar(s, x, y, n_terms))
+
+
+def eisenstein(s: complex, x: float, y: float, n_terms: int, dps: int = 40) -> complex:
+    """E(s, z) = E*(s, z) / xi(2s) from the Fourier expansion, at dps digits."""
+    with mp.workdps(dps):
+        return complex(_estar(s, x, y, n_terms) / _xi(2 * mp.mpc(s)))
 
 
 def estar_center(x: float, y: float, n_terms: int) -> complex:

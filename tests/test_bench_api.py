@@ -1,9 +1,10 @@
 """The benchmark's workloads still fit the package.
 
 ``bench/workloads.py`` builds its timed calls from poletrace's names and
-options; a renamed or deleted one would break ``bench/run.py``.  This test
-runs the first op of each kind in round 0 of the in-process workloads,
-without the reference checks.  It only reads ``bench/`` (no bytecode is
+options; a renamed or deleted one would break ``bench/run.py``.  These tests
+run the first op of each kind in round 0 of the in-process workloads, and
+each ``cli-cold`` command's arguments through ``cli.main`` in this process,
+without the reference checks.  They only read ``bench/`` (no bytecode is
 written there).
 """
 
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from poletrace.cli import main
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -35,3 +38,11 @@ def test_one_op_of_each_kind_runs(name, monkeypatch, tmp_path):
         ops.setdefault(op.kind, op)
     for kind, op in ops.items():
         assert op.run() is not None, kind
+
+
+def test_cli_cold_arguments_are_accepted(monkeypatch, tmp_path):
+    # a dropped or renamed flag fails here before it fails the benchmark
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workload = _load_workloads(monkeypatch).WORKLOADS["cli-cold"]()
+    for command, args, _ in workload._inputs(1, tmp_path):
+        assert main(args + [f"--out={tmp_path / command}"]) == 0, command

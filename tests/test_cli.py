@@ -143,6 +143,21 @@ class TestContinueAndDiff:
         assert f"{flag[2:]} must be positive" in err and str(float(value)) in err
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("command", ["continue", "diff"])
+    def test_non_finite_numerator_is_refused(self, model_file, tmp_path, capsys, command):
+        # json reads NaN; the descriptor is refused before anything is computed
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"kind": "constant", "value": NaN}')
+        args = [command, "--model", model_file, "--numerator", str(bad), "--path", OUTSIDE,
+                "--out", str(tmp_path / "out")]
+        if command == "diff":
+            args += ["--path2", INSIDE, "--w-end", "0.25,2.5"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: numerator value must be finite, got (nan+0j)\n"
+        assert not (tmp_path / "out").exists()
+
     def test_swapped_paths_validation_error(self, model_file, numerator_file, tmp_path):
         code = main(["diff", "--model", model_file, "--numerator", numerator_file,
                      "--path", INSIDE, "--path2", OUTSIDE, "--w-end", "0.25,2.5",
@@ -312,6 +327,11 @@ class TestEvalEisenstein:
         assert f"{value.real:.4f}" == "-0.0020"
         want = mp_oracle.estar(0.5 + 3j, 0.0, 100.0, 1)
         assert abs(value - want) <= 1e-9 * abs(want)
+
+    def test_zero_at_one_half(self, capsys):
+        # E(1/2, z) = 0: xi(2s) has its pole there
+        assert main(["eval-eisenstein", "--s", "0.5,0", "--z", "0.1,1.05"]) == 0
+        assert capsys.readouterr().out == "0 0\n"
 
     def test_overflow_is_a_numerical_failure(self, capsys):
         # xi(400) overflows: no nan is printed

@@ -415,7 +415,8 @@ class TestBranchingDifference:
         assert term.s_star == pytest.approx(0.5 - np.sqrt(radicand(model, w_end)), rel=1e-14)
         assert diff == pytest.approx(term.term_value, rel=1e-9)
 
-    def test_one_probe_and_one_direct_integral(self, monkeypatch):
+    def test_one_probe_and_no_direct_integral(self, monkeypatch):
+        # the direct integral at the shared end point cancels from the difference
         calls = {"direct_line_integral": 0, "check_line_symmetry": 0}
 
         def counted(name):
@@ -434,7 +435,28 @@ class TestBranchingDifference:
             Numerator.synthetic_gaussian(), hilbert(1.0), w_end,
             crossing_path(2.0, w_end), crossing_path(0.3, w_end), T=40.0,
         )
-        assert calls == {"direct_line_integral": 1, "check_line_symmetry": 1}
+        assert calls == {"direct_line_integral": 0, "check_line_symmetry": 1}
+
+    @pytest.mark.parametrize("numerator", [Numerator.synthetic_gaussian(),
+                                           Numerator.constant(0.7 - 0.2j)], ids=["gaussian", "constant"])
+    @pytest.mark.parametrize("pair", ["hilbert", "gl3", "hilbert-back-between"])
+    def test_equals_the_difference_of_two_continuations(self, numerator, pair):
+        gl3 = SpectralModel.gl3_cuspidal(1.0)
+        r = np.sqrt(gl3.c)
+        w_gl3 = complex(0.25, 1.2 * r)
+        model, outside, inside = {
+            "hilbert": (hilbert(1.0), crossing_path(2.0, 0.25 + 2.5j),
+                        crossing_path(0.3, 0.25 + 2.5j)),
+            "gl3": (gl3, crossing_path(1.5 * r, w_gl3), crossing_path(0.5 * r, w_gl3)),
+            # flips the branch, then crosses back between the branch points
+            "hilbert-back-between": (
+                hilbert(1.0), WPath((1.2 + 0j, 1.2 + 2j, 0.2 + 2j, 0.2 + 0.5j, 1.2 + 0.5j)),
+                WPath((1.2 + 0j, 1.2 + 0.5j))),
+        }[pair]
+        diff, _ = branching_difference(numerator, model, outside.end, outside, inside, T=40.0)
+        direct = continue_integral(numerator, model, inside, T=40.0).endpoint_value
+        flipped = continue_integral(numerator, model, outside, T=40.0).endpoint_value
+        assert abs(diff - (flipped - direct)) <= 1e-12 * max(1.0, abs(direct))
 
 
 # -- the branch invariant as properties ------------------------------------

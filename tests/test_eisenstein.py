@@ -256,6 +256,16 @@ class TestEisenstein:
         b = eisenstein_gl2(EisensteinParams(s), UpperHalfPoint(gz.real, gz.imag))
         assert abs(a - b) <= 1e-8 * abs(a)
 
+    def test_zero_at_one_half(self):
+        # xi(2s) has its pole at s = 1/2: E(1/2, z) = 0, and next to it
+        # E = E*(s, z) (2s - 1) to first order
+        z = UpperHalfPoint(0.1, 1.05)
+        assert eisenstein_gl2(EisensteinParams(0.5, n_terms=8), z) == 0
+        for s in (0.5 + 1e-13, 0.5 + 1e-13j):
+            got = eisenstein_gl2(EisensteinParams(s, n_terms=8), z)
+            want = mp_oracle.eisenstein(s, z.x, z.y, 8, dps=40)
+            assert abs(got - want) <= 1e-9 * abs(want), s
+
     def test_upper_half_plane_validation(self):
         with pytest.raises(ValidationError):
             UpperHalfPoint(0.0, -1.0)

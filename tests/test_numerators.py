@@ -76,6 +76,16 @@ class TestDescriptors:
         with pytest.raises(ValidationError):
             Numerator.from_dict({"kind": "lorentzian"})
 
+    @pytest.mark.parametrize("descriptor", [
+        {"kind": "constant", "value": float("nan")},
+        {"kind": "constant", "value": [1.0, float("inf")]},
+        {"kind": "gaussian", "scale": [float("nan"), 0.0]},
+        {"kind": "gaussian", "width": float("inf")},
+    ])
+    def test_non_finite_fields_are_refused(self, descriptor):
+        with pytest.raises(ValidationError, match="must be finite"):
+            Numerator.from_dict(descriptor)
+
     def test_out_of_domain_fields_keep_their_message(self):
         with pytest.raises(ValidationError, match="^gaussian width must be positive"):
             Numerator.from_dict({"kind": "gaussian", "width": 0.0})

@@ -7,7 +7,12 @@ import pytest
 
 import poletrace.quadrature as quadrature
 from poletrace.continuation import continue_integral
-from poletrace.errors import AsymmetricNumeratorError, PoleOnContourError, QuadratureFailureError
+from poletrace.errors import (
+    AsymmetricNumeratorError,
+    NumericalError,
+    PoleOnContourError,
+    QuadratureFailureError,
+)
 from poletrace.models import GrossencharParams, SpectralModel, poles
 from poletrace.numerators import Numerator
 from poletrace.paths import WPath
@@ -303,6 +308,18 @@ class TestRegularized:
         assert calls == [128]
         with pytest.raises(AsymmetricNumeratorError):
             check_line_symmetry(lambda s: np.imag(np.asarray(s)) + 1.0, 30.0)
+
+    def test_non_finite_numerator_is_a_numerical_error(self):
+        # NaN - NaN is NaN, which no asymmetry bound refuses; the probe names
+        # the lowest height with a non-finite value instead
+        tau = _probe_heights(30.0)
+        lowest = f"{tau[tau > 10.0].min():.6g}"
+        for sign in (1, -1):
+            def numerator(s, sign=sign):
+                return np.where(sign * np.imag(np.asarray(s)) > 10.0, np.nan, 1.0)
+
+            with pytest.raises(NumericalError, match=rf"not finite at s = 1/2 \+- {lowest}i"):
+                check_line_symmetry(numerator, 30.0)
 
     def test_probe_heights_are_built_once_per_T(self):
         seen = []
