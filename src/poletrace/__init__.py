@@ -6,7 +6,6 @@ from .continuation import (
     branching_difference,
     continue_integral,
     continue_pole,
-    verify_no_branching_planar,
 )
 from .eisenstein import (
     EisensteinParams,
@@ -43,6 +42,7 @@ from .planar import (
     planar_direct_integral,
     planar_regularized_integral,
     planar_singular_integral,
+    verify_no_branching_planar,
 )
 from .quadrature import adaptive_line_quadrature, singular_line_integral
 

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -32,16 +33,19 @@ from .paths import WPath, radicand_curve
 from .verify import SUITES, run_criteria
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_complex(text: str, name: str) -> complex:
     try:
         re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        value = complex(float(re_s), float(im_s))
     except Exception as exc:
         raise ValidationError(f"expected 're,im', got {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {text!r}")
+    return value
 
 
 def _parse_path(text: str, label: str = "") -> WPath:
-    points = tuple(_parse_complex(part) for part in text.split(";") if part.strip())
+    points = tuple(_parse_complex(part, "path point") for part in text.split(";") if part.strip())
     return WPath(points, label=label)
 
 
@@ -289,7 +293,7 @@ def _cmd_diff(args, config) -> int:
     w_end_text = args.w_end or config.get("w-end", config.get("w_end"))
     if not isinstance(w_end_text, str):
         raise ValidationError("no endpoint given (flag --w-end or config key 'w-end')")
-    w_end = _parse_complex(w_end_text)
+    w_end = _parse_complex(w_end_text, "w-end")
     T = float(_setting(args, config, "T", 40.0))
     difference, term = branching_difference(numerator, model, w_end, path1, path2, T=T)
     agreement = abs(difference - term.term_value) / max(abs(term.term_value), 1e-300)
@@ -338,8 +342,8 @@ def _cmd_curve(args, config) -> int:
 
 
 def _cmd_eval_eisenstein(args, config) -> int:
-    s = _parse_complex(args.s)
-    point = _parse_complex(args.z)
+    s = _parse_complex(args.s, "s")
+    point = _parse_complex(args.z, "z")
     z = UpperHalfPoint(point.real, point.imag)
     if args.completed:
         value = eisenstein_gl2_completed(s, z, n_terms=args.n_terms)

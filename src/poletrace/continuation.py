@@ -44,7 +44,6 @@ from .paths import (
     branch_sign,
     sample_path,
 )
-from .planar import planar_direct_integral, planar_regularized_integral, planar_singular_integral
 from .quadrature import check_line_symmetry, direct_line_integral, singular_line_tail
 
 #: minimum distance from the critical line of the poles at the path end
@@ -224,58 +223,3 @@ def branching_difference(
     difference = _correction_term(numerator, model, outside.end_pole).term_value
     s_star = 0.5 - np.sqrt(radicand(model, w_end))
     return difference, _correction_term(numerator, model, s_star)
-
-
-@dataclass
-class NoBranchingReport:
-    """Planar continuation across the imaginary axis versus direct quadrature."""
-
-    continued: complex
-    direct: complex
-    singular_right: complex
-    singular_left: complex
-    est_error: float
-    tol: float
-
-    @property
-    def difference(self) -> complex:
-        return self.continued - self.direct
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.difference) <= self.tol * max(1.0, abs(self.direct))
-
-
-def verify_no_branching_planar(
-    numerator2d: Callable,
-    w_left: complex,
-    w_right: complex,
-    T: float | None = None,
-    tol: float = 1e-6,
-) -> NoBranchingReport:
-    """Check that the planar continuation picks up no extra term.
-
-    Regularizes at ``w_right``, carries the formula across the imaginary
-    axis to the mirrored ``w_left`` (the singular value is again pi / w^2,
-    so the extra terms cancel), and compares with direct quadrature there.
-    """
-    w_left, w_right = complex(w_left), complex(w_right)
-    if w_right.real <= 0:
-        raise ValidationError(f"w_right must have positive real part, got {w_right}")
-    if abs(w_left.real + w_right.real) > 1e-12 * (1 + abs(w_right)) or abs(
-        w_left.imag - w_right.imag
-    ) > 1e-12 * (1 + abs(w_right)):
-        raise ValidationError(
-            f"w_left = {w_left} is not the mirror of w_right = {w_right} across the axis"
-        )
-
-    reg_left = planar_regularized_integral(numerator2d, w_left, T=T, tol=min(tol, 1e-8))
-    direct_left, err = planar_direct_integral(numerator2d, w_left, T=T, tol=min(tol, 1e-8))
-    return NoBranchingReport(
-        continued=reg_left.total,
-        direct=direct_left,
-        singular_right=planar_singular_integral(w_right),
-        singular_left=planar_singular_integral(w_left),
-        est_error=err + reg_left.est_error,
-        tol=tol,
-    )

@@ -340,6 +340,8 @@ def bessel_k(order, x):
     xv = np.asarray(x, dtype=float)
     if not np.all(xv > 0):
         raise DomainError(f"bessel_k requires x > 0, got {x}")
+    if not np.all(np.isfinite(nu)):
+        raise DomainError(f"bessel_k requires a finite order, got {order}")
     if np.any(np.abs(nu.imag) > _MAX_IMAG_ORDER):
         raise DomainError(f"bessel_k requires |Im order| <= {_MAX_IMAG_ORDER:g}, got {order}")
     shape = np.broadcast_shapes(nu.shape, xv.shape)
@@ -373,6 +375,8 @@ class UpperHalfPoint:
     def __post_init__(self):
         if not self.y > 0:
             raise ValidationError(f"upper half plane requires y > 0, got y = {self.y}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValidationError(f"point x + iy must be finite, got x = {self.x}, y = {self.y}")
 
 
 @dataclass
@@ -470,11 +474,11 @@ def _fourier_pieces(s: np.ndarray, z: UpperHalfPoint, n_terms: int):
     return pieces
 
 
-def _completed(s: np.ndarray, z: UpperHalfPoint, n_terms: int) -> np.ndarray:
-    """xi(2s) y^s + C1 xi(2s-1) y^(1-s) + C2 sqrt(y) * Bessel sum, per s."""
+def _completed(s: np.ndarray, z: UpperHalfPoint, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """xi(2s) y^s + C1 xi(2s-1) y^(1-s) + C2 sqrt(y) * Bessel sum, and xi(2s), per s."""
     c1, c2 = FOURIER_CONSTANTS
     xi_2s, xi_2s1, acc = _fourier_pieces(s, z, n_terms)
-    return xi_2s * z.y**s + c1 * xi_2s1 * z.y ** (1.0 - s) + c2 * np.sqrt(z.y) * acc
+    return xi_2s * z.y**s + c1 * xi_2s1 * z.y ** (1.0 - s) + c2 * np.sqrt(z.y) * acc, xi_2s
 
 
 _CENTER_ZONE = 1e-3
@@ -494,10 +498,17 @@ def eisenstein_gl2(params: EisensteinParams, z: UpperHalfPoint) -> complex:
 
     Inside xi's pole window |2s - 1| < 1e-12, E = E*(s, z) (2s - 1): xi has
     residue 1 at 1, so 1/xi(2s) = (2s - 1)(1 + O(2s - 1)), and E(1/2, z) = 0.
+    Inside the window |2s| < 1e-12 about xi's other pole, E(0, z) = 1.
+    Outside the centre zone, E* and xi(2s) come from one pass.
     """
     if params.mode == "lattice_sum":
         return _lattice_sum(params.s, z)
     s = complex(params.s)
+    if abs(2.0 * s) < 1e-12:
+        return 1.0 + 0.0j
+    if abs(s - 0.5) >= _CENTER_ZONE:
+        completed, xi_2s = _completed(np.array([s]), z, params.n_terms)
+        return complex(completed[0]) / complex(xi_2s[0])
     completed = eisenstein_gl2_completed(s, z, params.n_terms)
     if abs(2.0 * s - 1.0) < 1e-12:
         return completed * (2.0 * s - 1.0) + 0.0  # + 0.0 turns -0.0 into +0.0
@@ -518,8 +529,8 @@ def eisenstein_gl2_completed(s, z: UpperHalfPoint, n_terms: int = 30):
     sv, shape = _as_array(s, complex)
     near = np.abs(sv - 0.5) < _CENTER_ZONE
     if not np.any(near):
-        return _unwrap(_completed(sv, z, n_terms), shape)
-    values = _completed(np.concatenate([sv[~near], 0.5 + _RING]), z, n_terms)
+        return _unwrap(_completed(sv, z, n_terms)[0], shape)
+    values, _ = _completed(np.concatenate([sv[~near], 0.5 + _RING]), z, n_terms)
     out = np.empty(sv.shape, dtype=complex)
     out[~near] = values[:-_RING.size]
     coeffs = _center_coefficients(values[-_RING.size:])

@@ -13,7 +13,9 @@ poles at s = 1/2 +- sqrt((w - 1/2)^2 + c), and the branch points in w sit at
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +45,8 @@ class GrossencharParams:
         object.__setattr__(self, "t", t)
         if len(t) < 1:
             raise InvalidCharacterError("need at least one character parameter")
+        if not all(math.isfinite(x) for x in t):
+            raise InvalidCharacterError(f"character parameters must be finite, got {t}")
         total = sum(t)
         if abs(total) > 1e-14 * max(1.0, sum(abs(x) for x in t)):
             raise InvalidCharacterError(f"character parameters must sum to 0, got {total!r}")
@@ -71,6 +75,8 @@ class SpectralModel:
             raise ValidationError("HilbertMaass model requires grossencharacter parameters")
         if self.kind is ModelKind.GL3_CUSPIDAL:
             t_f = self.t_f
+            if not cmath.isfinite(t_f):
+                raise ValidationError(f"t_f must be finite, got {t_f}")
             real_ok = t_f.imag == 0.0
             imag_ok = t_f.real == 0.0 and -0.5 <= t_f.imag <= 0.0
             if not (real_ok or imag_ok):

@@ -31,6 +31,7 @@ from .errors import (
     DegenerateParametrizationError,
     InvalidPathError,
     StartInLeftHalfPlaneError,
+    ValidationError,
 )
 
 #: tolerance for "the radicand hits the origin"
@@ -306,6 +307,16 @@ def _sample_quadratic_curve(height: float, offset: float, sigma_range, step: flo
     return CurveSamples(z)
 
 
+def _require_crossing(t_norm: float, alpha: float) -> None:
+    """Refuse a crossing height alpha * t_norm that is degenerate or not finite."""
+    if not 0 < t_norm < math.inf:
+        raise DegenerateParametrizationError(f"t_norm must be positive and finite, got {t_norm}")
+    if not math.isfinite(alpha):
+        raise ValidationError(f"alpha must be finite, got {alpha}")
+    if alpha == 0:
+        raise DegenerateParametrizationError("alpha = 0 collapses the curve onto the real axis")
+
+
 def radicand_curve(
     t_norm: float,
     alpha: float,
@@ -317,10 +328,7 @@ def radicand_curve(
     The curve is (sigma^2 + (1 - alpha^2) t^2) + (2 sigma alpha t) i, a
     right-facing parabola x = (y^2 + 4 alpha^2 (1 - alpha^2) t^4) / (4 alpha^2 t^2).
     """
-    if t_norm <= 0:
-        raise DegenerateParametrizationError(f"t_norm must be positive, got {t_norm}")
-    if alpha == 0:
-        raise DegenerateParametrizationError("alpha = 0 collapses the curve onto the real axis")
+    _require_crossing(t_norm, alpha)
     samples = _sample_quadratic_curve(alpha * t_norm, t_norm**2, sigma_range, step)
     a2 = 1.0 / (4.0 * alpha**2 * t_norm**2)
     c0 = (1.0 - alpha**2) * t_norm**2
@@ -333,10 +341,7 @@ def crosses_origin(t_norm: float, alpha: float) -> bool:
     True exactly when |alpha| > 1, i.e. when the crossing height exceeds the
     branch-point height t_norm.
     """
-    if t_norm <= 0:
-        raise DegenerateParametrizationError(f"t_norm must be positive, got {t_norm}")
-    if alpha == 0:
-        raise DegenerateParametrizationError("alpha = 0 collapses the curve onto the real axis")
+    _require_crossing(t_norm, alpha)
     if abs(abs(alpha) - 1.0) <= BOUNDARY_TOL:
         raise BoundaryCrossingError(
             f"|alpha| = 1 within tolerance {BOUNDARY_TOL:g}: curve passes through the origin"

@@ -5,7 +5,9 @@ coordinates: the angle by periodic trapezoid sums, refined per radius by
 doubling (they converge geometrically for smooth integrands), and the radius
 by the adaptive Gauss-Kronrod scheme.  The singular integral of
 1 / (|eta|^2 + w^2)^2 has the closed form pi / w^2, which regularization
-trades against the circle value of the numerator at radius |w|.
+trades against the circle value of the numerator at radius |w|.  Carried
+across the imaginary axis it picks up no extra term, since the singular value
+is pi / w^2 on both sides; :func:`verify_no_branching_planar` checks this.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .errors import PoleOnContourError, QuadratureFailureError, ValidationError
 from .quadrature import adaptive_quadrature
 
-#: disk radius default, in units of max(1, |w|)
+#: radius of the planar disk integrals, in units of max(1, |w|)
 DISK_RADIUS_FACTOR = 50.0
 #: angular points at which every circle's trapezoid sum must have converged
 MAX_ANGLE = 1 << 13
@@ -42,16 +44,25 @@ class RegularizedResult:
         return self.principal + self.singular
 
 
-def planar_singular_integral(w: complex) -> complex:
-    """Closed form pi / w^2 of the planar singular integral.
+def _off_axis(w) -> complex:
+    """complex(w), refused on the imaginary axis, where the pole circle meets the plane.
 
-    Defined for w off the imaginary axis; on it the pole circle meets the
-    integration plane.
+    Written as ``not >``, the test also refuses a NaN or infinite w.
     """
     w = complex(w)
-    if abs(w.real) <= 1e-12 * (1.0 + abs(w)):
-        raise PoleOnContourError(f"w = {w} is purely imaginary: pole circle on the plane")
-    return np.pi / w**2
+    if not abs(w.real) > 1e-12 * (1.0 + abs(w)):
+        raise PoleOnContourError(f"w = {w} must be finite and off the imaginary axis")
+    return w
+
+
+def _disk_radius(w: complex) -> float:
+    """Truncation radius T(w) of the planar disk integrals."""
+    return DISK_RADIUS_FACTOR * max(1.0, abs(w))
+
+
+def planar_singular_integral(w: complex) -> complex:
+    """Closed form pi / w^2 of the planar singular integral, for finite w off the axis."""
+    return np.pi / _off_axis(w) ** 2
 
 
 def _angular_integrals(numerator2d: Callable, radii, tol: float) -> np.ndarray:
@@ -102,84 +113,93 @@ def circle_average(numerator2d: Callable, radius: float, tol: float = 1e-11) -> 
 
 
 def planar_direct_integral(
-    numerator2d: Callable,
-    w: complex,
-    T: float | None = None,
-    tol: float = 1e-9,
+    numerator2d: Callable, w: complex, tol: float = 1e-9
 ) -> tuple[complex, float]:
-    """Quadrature of N(eta) / (|eta|^2 + w^2)^2 over the disk |eta| <= T."""
-    w = complex(w)
-    if abs(w.real) <= 1e-12 * (1.0 + abs(w)):
-        raise PoleOnContourError(f"w = {w} is purely imaginary: pole circle on the plane")
-    if T is None:
-        T = DISK_RADIUS_FACTOR * max(1.0, abs(w))
+    """Quadrature of N(eta) / (|eta|^2 + w^2)^2 over the disk |eta| <= T(w)."""
+    w = _off_axis(w)
+    T = _disk_radius(w)
 
     def f(r):
         return r * _angular_integrals(numerator2d, r, tol) / (r**2 + w**2) ** 2
 
-    aw = abs(w)
-    seeds = sorted({aw * f0 for f0 in (0.25, 0.5, 1.0, 2.0, 4.0)} | {1.0, T / 4})
+    seeds = sorted({abs(w) * f0 for f0 in (0.25, 0.5, 1.0, 2.0, 4.0)} | {1.0, T / 4})
     return adaptive_quadrature(f, 0.0, T, tol=tol, initial_points=seeds)
 
 
 def planar_regularized_integral(
-    numerator2d: Callable,
-    w: complex,
-    T: float | None = None,
-    tol: float = 1e-9,
+    numerator2d: Callable, w: complex, tol: float = 1e-9
 ) -> RegularizedResult:
     """Circle-subtracted planar integral with closed-form singular part.
 
-    Subtracts the angular average of the numerator on the circle |eta| = |w|,
-    integrates the difference against the double-pole kernel, and adds the
-    subtracted value times pi / w^2.  The constant part of the tail beyond
-    the disk is completed analytically.
+    Subtracts the angular mean j_w of the numerator on the circle |eta| = |w|,
+    integrates the difference over the disk with
+    :func:`planar_direct_integral`, and adds j_w times pi / w^2.  The constant
+    part of the tail beyond the disk, j_w pi / (T^2 + w^2), is completed
+    analytically.
     """
-    w = complex(w)
-    if abs(w.real) <= 1e-12 * (1.0 + abs(w)):
-        raise PoleOnContourError(f"w = {w} is purely imaginary: pole circle on the plane")
-    if T is None:
-        T = DISK_RADIUS_FACTOR * max(1.0, abs(w))
-
+    w = _off_axis(w)
+    T = _disk_radius(w)
     aw = abs(w)
     j_w = circle_average(numerator2d, aw, tol=tol) / (2.0 * np.pi * aw)
-
-    def f(r):
-        excess = _angular_integrals(numerator2d, r, tol) - 2.0 * np.pi * j_w
-        return r * excess / (r**2 + w**2) ** 2
-
-    seeds = sorted({aw * f0 for f0 in (0.25, 0.5, 1.0, 2.0, 4.0)} | {1.0, T / 4})
-    body, err = adaptive_quadrature(f, 0.0, T, tol=tol, initial_points=seeds)
+    body, err = planar_direct_integral(lambda x, y: numerator2d(x, y) - j_w, w, tol=tol)
     principal = body - j_w * np.pi / (T**2 + w**2)
-    singular = j_w * planar_singular_integral(w)
-
     edge = abs(_angular_integrals(numerator2d, [T], tol)[0]) / (2.0 * np.pi)
     tail_bound = float(edge * np.pi / abs(T**2 + w**2))
-
-    return RegularizedResult(
-        principal=principal, singular=singular, est_error=err, tail_bound=tail_bound
-    )
+    return RegularizedResult(principal, j_w * planar_singular_integral(w), err, tail_bound)
 
 
-def radial_singular_quadrature(
-    w: complex, R: float | None = None, tol: float = 1e-10
-) -> tuple[complex, float]:
+def radial_singular_quadrature(w: complex) -> tuple[complex, float]:
     """Radial quadrature oracle 2 pi int_0^inf r dr / (r^2 + w^2)^2.
 
-    Integrates up to R and completes with the elementary tail
-    pi / (R^2 + w^2).
+    Integrates up to R = 400 max(1, |w|) and completes with the elementary
+    tail pi / (R^2 + w^2).
     """
-    w = complex(w)
-    if abs(w.real) <= 1e-12 * (1.0 + abs(w)):
-        raise PoleOnContourError(f"w = {w} is purely imaginary: pole circle on the plane")
-    if R is None:
-        R = 400.0 * max(1.0, abs(w))
+    w = _off_axis(w)
+    R = 400.0 * max(1.0, abs(w))
 
     def f(r):
-        r = np.asarray(r, dtype=float)
         return 2.0 * np.pi * r / (r**2 + w**2) ** 2
 
-    aw = abs(w)
-    seeds = sorted({aw * f0 for f0 in (0.5, 1.0, 2.0)} | {R / 8})
-    value, err = adaptive_quadrature(f, 0.0, R, tol=tol, initial_points=seeds)
+    seeds = sorted({abs(w) * f0 for f0 in (0.5, 1.0, 2.0)} | {R / 8})
+    value, err = adaptive_quadrature(f, 0.0, R, tol=1e-10, initial_points=seeds)
     return value + np.pi / (R**2 + w**2), err
+
+
+@dataclass
+class NoBranchingReport:
+    """Planar continuation across the imaginary axis versus direct quadrature."""
+
+    continued: complex
+    direct: complex
+    singular_right: complex
+    singular_left: complex
+    est_error: float
+    tol: float
+
+    @property
+    def difference(self) -> complex:
+        return self.continued - self.direct
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.difference) <= self.tol * max(1.0, abs(self.direct))
+
+
+def verify_no_branching_planar(
+    numerator2d: Callable, w: complex, tol: float = 1e-6
+) -> NoBranchingReport:
+    """Check that the planar continuation picks up no extra term.
+
+    Regularizes at w (Re w > 0), carries the formula across the imaginary
+    axis to the mirror point -conj(w) (the singular value is again pi / w^2,
+    so the extra terms cancel), and compares with direct quadrature there.
+    """
+    singular_right = planar_singular_integral(w)
+    w = complex(w)
+    if not w.real > 0:
+        raise ValidationError(f"w must have positive real part, got {w}")
+    w_left = -w.conjugate()
+    reg_left = planar_regularized_integral(numerator2d, w_left, tol=min(tol, 1e-8))
+    direct_left, err = planar_direct_integral(numerator2d, w_left, tol=min(tol, 1e-8))
+    return NoBranchingReport(reg_left.total, direct_left, singular_right,
+                             planar_singular_integral(w_left), err + reg_left.est_error, tol)

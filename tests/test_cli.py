@@ -202,6 +202,67 @@ class TestMalformedInput:
         assert capsys.readouterr().err == "error: expected 're,im', got '1'\n"
 
 
+class TestNonFiniteInput:
+    """A NaN or infinity on the command line or in a descriptor exits 1 and names it."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval-eisenstein", "--s", "nan,0", "--z", "0,1"], "s must be finite, got 'nan,0'"),
+            (["eval-eisenstein", "--s", "0.3,0", "--z", "nan,1"], "z must be finite, got 'nan,1'"),
+            (["eval-eisenstein", "--s", "0.3,inf", "--z", "0,1"], "s must be finite"),
+            (["diff", "--model", "MODEL", "--numerator", "NUMERATOR", "--path", OUTSIDE,
+              "--path2", INSIDE, "--w-end", "0.25,nan"], "w-end must be finite, got '0.25,nan'"),
+            (["trace", "--model", "MODEL", "--path", "1.2,0;nan,2"],
+             "path point must be finite, got 'nan,2'"),
+            (["curve", "--t-norm", "nan", "--alpha", "2"], "t_norm must be positive and finite"),
+            (["curve", "--t-norm", "1", "--alpha", "nan"], "alpha must be finite, got nan"),
+        ],
+    )
+    def test_flag(self, model_file, numerator_file, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        files = {"MODEL": model_file, "NUMERATOR": numerator_file}
+        assert main([files.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert not out.exists()
+
+    def test_config_path(self, model_file, tmp_path, capsys):
+        config = tmp_path / "settings.cfg"
+        config.write_text('path = "1.2,0;inf,2"\n')
+        assert main(["--config", str(config), "trace", "--model", model_file,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "path point must be finite, got 'inf,2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, which, descriptor, message",
+        [
+            ("branch-points", "model", '{"kind": "HilbertMaass", "t": [NaN, NaN]}',
+             "character parameters must be finite"),
+            ("trace", "model", '{"kind": "HilbertMaass", "t": [NaN, NaN]}',
+             "character parameters must be finite"),
+            ("branch-points", "model", '{"kind": "GL3Cuspidal", "t_f": Infinity}',
+             "t_f must be finite"),
+            ("continue", "numerator", '{"kind": "eisenstein_product", "z0": [0, 1], "z": [NaN, 1]}',
+             "must be finite, got x = nan"),
+        ],
+    )
+    def test_descriptor(self, model_file, numerator_file, tmp_path, capsys,
+                        command, which, descriptor, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(descriptor)
+        files = {"model": model_file, "numerator": numerator_file, which: str(bad)}
+        argv = [command, "--model", files["model"], "--out", str(tmp_path / "out")]
+        if command != "branch-points":
+            argv += ["--path", OUTSIDE]
+        if command == "continue":
+            argv += ["--numerator", files["numerator"]]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert not (tmp_path / "out").exists()
+
+
 class TestCurve:
     def test_writes_csv_svg_parabola(self, tmp_path):
         out = tmp_path / "curves"
@@ -332,6 +393,13 @@ class TestEvalEisenstein:
         # E(1/2, z) = 0: xi(2s) has its pole there
         assert main(["eval-eisenstein", "--s", "0.5,0", "--z", "0.1,1.05"]) == 0
         assert capsys.readouterr().out == "0 0\n"
+
+    def test_one_at_zero(self, capsys):
+        # E(0, z) = 1, while E* has a real pole there
+        assert main(["eval-eisenstein", "--s", "0,0", "--z", "0.1,1.05"]) == 0
+        assert capsys.readouterr().out == "1 0\n"
+        assert main(["eval-eisenstein", "--s", "0,0", "--z", "0.1,1.05", "--completed"]) == 1
+        assert "pole" in capsys.readouterr().err
 
     def test_overflow_is_a_numerical_failure(self, capsys):
         # xi(400) overflows: no nan is printed

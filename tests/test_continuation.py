@@ -12,7 +12,6 @@ from poletrace.continuation import (
     continue_integral,
     continue_pole,
     correction_coefficient,
-    verify_no_branching_planar,
 )
 from poletrace.eisenstein import UpperHalfPoint
 from poletrace.errors import (
@@ -591,36 +590,6 @@ class TestContinuationProperties:
         coefficient = correction_coefficient(model, s_star)
         assert abs(coefficient) == pytest.approx(abs(continued_form - fresh), rel=1e-10)
         assert coefficient == pytest.approx(-(continued_form - fresh), rel=1e-10)
-
-
-class TestPlanarNoBranching:
-    def test_gaussian(self):
-        report = verify_no_branching_planar(
-            lambda x, y: np.exp(-(x**2 + y**2)), -1.0 + 0.5j, 1.0 + 0.5j, tol=1e-6
-        )
-        assert report.passed
-        # the singular value is the same formula pi/w^2 on both sides; for a
-        # mirrored pair the two evaluations are complex conjugates
-        assert report.singular_left == pytest.approx(np.conj(report.singular_right))
-
-    def test_zero_numerator(self):
-        report = verify_no_branching_planar(
-            lambda x, y: np.zeros_like(x), -0.7 + 0.2j, 0.7 + 0.2j, tol=1e-12
-        )
-        assert report.difference == 0.0
-
-    def test_weighted_gaussian(self):
-        f = lambda x, y: (x**2 + y**2) * np.exp(-(x**2 + y**2))
-        report = verify_no_branching_planar(f, -0.8 + 0.3j, 0.8 + 0.3j, tol=1e-6)
-        assert report.passed
-
-    def test_non_mirrored_pair_rejected(self):
-        from poletrace.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            verify_no_branching_planar(
-                lambda x, y: np.exp(-(x**2 + y**2)), -1.0 + 0.4j, 1.0 + 0.5j
-            )
 
 
 class TestEisensteinNumeratorContinuation:

@@ -216,6 +216,11 @@ class TestBesselK:
         with pytest.raises(DomainError):
             bessel_k(1000.0j, 1.0)
 
+    @pytest.mark.parametrize("order", [complex(np.nan, 0.0), complex(0.5, np.inf)])
+    def test_non_finite_order(self, order):
+        with pytest.raises(DomainError, match="finite order"):
+            bessel_k(order, 1.0)
+
     def test_deep_cancellation_keeps_absolute_accuracy(self):
         # purely imaginary order with exponentially small value: the absolute
         # error stays far below the integrand scale exp(-x)
@@ -266,9 +271,43 @@ class TestEisenstein:
             want = mp_oracle.eisenstein(s, z.x, z.y, 8, dps=40)
             assert abs(got - want) <= 1e-9 * abs(want), s
 
+    @pytest.mark.parametrize("x", [0.1, 0.0, -0.3])
+    def test_one_at_zero(self, x):
+        # xi(2s) has its other pole at s = 0, where E(0, z) = 1 for every z
+        for y in (0.8, 1.05, 2.0):
+            assert eisenstein_gl2(EisensteinParams(0.0), UpperHalfPoint(x, y)) == 1.0
+
+    def test_next_to_zero_against_mpmath(self):
+        z = UpperHalfPoint(0.1, 1.05)
+        for s in (1e-13, 1e-13j):
+            got = eisenstein_gl2(EisensteinParams(s), z)
+            want = mp_oracle.eisenstein(s, z.x, z.y, 30, dps=40)
+            assert abs(got - want) <= 1e-9 * abs(want), s
+
+    def test_one_xi_call_per_evaluation(self, monkeypatch):
+        # outside the centre zone E divides by the xi(2s) of the Fourier pass
+        calls = []
+        monkeypatch.setattr(eisenstein, "xi", lambda u: calls.append(u) or xi(u))
+        for s in (2.0, 0.5 + 3.1j, 0.3):
+            calls.clear()
+            eisenstein_gl2(EisensteinParams(s), UpperHalfPoint(0.3, 1.2))
+            assert len(calls) == 1, s
+
+    def test_values_equal_division_by_a_separate_xi(self):
+        # the criterion 9 points: bit for bit E* / xi(2s) with xi called on its own
+        for s in (2.0, 2.5, 3.0, 2.0 + 1j, 2.5 + 1j, 3.0 + 1j):
+            for z in (UpperHalfPoint(0.0, 1.0), UpperHalfPoint(0.3, 1.2)):
+                want = eisenstein_gl2_completed(s, z) / xi(2.0 * s)
+                assert eisenstein_gl2(EisensteinParams(s), z) == want
+
     def test_upper_half_plane_validation(self):
         with pytest.raises(ValidationError):
             UpperHalfPoint(0.0, -1.0)
+
+    @pytest.mark.parametrize("x, y", [(np.nan, 1.0), (0.0, np.inf), (np.inf, 1.0)])
+    def test_non_finite_point_refused(self, x, y):
+        with pytest.raises(ValidationError, match="finite"):
+            UpperHalfPoint(x, y)
 
     def test_bad_mode(self):
         with pytest.raises(ValidationError):

@@ -71,6 +71,17 @@ class TestGrossenchar:
         with pytest.raises(InvalidCharacterError):
             GrossencharParams((1.0, -0.5))
 
+    @pytest.mark.parametrize("t", [(np.nan, np.nan), (np.inf, -np.inf), (1.0, np.nan)])
+    def test_non_finite_refused(self, t):
+        # a NaN sum passes the zero-sum test, so finiteness is checked first
+        with pytest.raises(InvalidCharacterError, match="must be finite"):
+            GrossencharParams(t)
+
+    @pytest.mark.parametrize("t_f", [np.inf, complex(1.0, np.nan), complex(0.0, -np.inf)])
+    def test_non_finite_gl3_parameter_refused(self, t_f):
+        with pytest.raises(ValidationError, match="t_f must be finite"):
+            SpectralModel.gl3_cuspidal(t_f)
+
     def test_norm_sq(self):
         chi = GrossencharParams((1.0, -1.0))
         assert chi.norm_sq == pytest.approx(1.0)

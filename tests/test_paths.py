@@ -8,6 +8,7 @@ from poletrace.errors import (
     BranchPointCollisionError,
     DegenerateParametrizationError,
     InvalidPathError,
+    ValidationError,
 )
 from poletrace.paths import (
     MAX_PATH_SAMPLES,
@@ -180,6 +181,15 @@ class TestCrossesOrigin:
     def test_degenerate(self):
         with pytest.raises(DegenerateParametrizationError):
             crosses_origin(1.0, 0.0)
+
+    @pytest.mark.parametrize("t_norm, alpha, message", [
+        (float("nan"), 2.0, "t_norm"), (float("inf"), 2.0, "t_norm"),
+        (1.0, float("nan"), "alpha"), (1.0, float("-inf"), "alpha"),
+    ])
+    def test_non_finite_refused(self, t_norm, alpha, message):
+        for call in (crosses_origin, radicand_curve):
+            with pytest.raises(ValidationError, match=f"{message} must be"):
+                call(t_norm, alpha)
 
     def test_agrees_with_tracked_parity(self):
         # oracle: branch parity of the tracked root over the full sweep

@@ -1,18 +1,39 @@
+import re
+
 import numpy as np
 import pytest
 
-from poletrace.errors import PoleOnContourError, QuadratureFailureError
+from poletrace.errors import PoleOnContourError, QuadratureFailureError, ValidationError
 from poletrace.planar import (
     circle_average,
     planar_direct_integral,
     planar_regularized_integral,
     planar_singular_integral,
     radial_singular_quadrature,
+    verify_no_branching_planar,
 )
 
 
 def gaussian2d(x, y):
     return np.exp(-(x**2 + y**2))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        planar_singular_integral,
+        lambda w: planar_direct_integral(gaussian2d, w),
+        lambda w: planar_regularized_integral(gaussian2d, w),
+        radial_singular_quadrature,
+        lambda w: verify_no_branching_planar(gaussian2d, w),
+    ],
+    ids=["singular", "direct", "regularized", "radial", "no_branching"],
+)
+@pytest.mark.parametrize("w", [0.5j, complex(np.nan, 1.0)], ids=["axis", "nan"])
+def test_off_axis_guard(entry, w):
+    # one guard in front of every planar entry point; NaN fails it as well
+    with pytest.raises(PoleOnContourError, match=re.escape(str(w))):
+        entry(w)
 
 
 class TestPlanarSingular:
@@ -108,3 +129,26 @@ class TestPlanarRegularized:
     def test_imaginary_axis_rejected(self):
         with pytest.raises(PoleOnContourError):
             planar_regularized_integral(gaussian2d, 0.5j)
+
+
+class TestPlanarNoBranching:
+    def test_gaussian(self):
+        report = verify_no_branching_planar(lambda x, y: np.exp(-(x**2 + y**2)), 1.0 + 0.5j)
+        assert report.passed
+        # the singular value is the same formula pi/w^2 on both sides; for a
+        # mirrored pair the two evaluations are complex conjugates
+        assert report.singular_left == pytest.approx(np.conj(report.singular_right))
+
+    def test_zero_numerator(self):
+        report = verify_no_branching_planar(lambda x, y: np.zeros_like(x), 0.7 + 0.2j, tol=1e-12)
+        assert report.difference == 0.0
+
+    def test_weighted_gaussian(self):
+        f = lambda x, y: (x**2 + y**2) * np.exp(-(x**2 + y**2))
+        report = verify_no_branching_planar(f, 0.8 + 0.3j, tol=1e-6)
+        assert report.passed
+
+    def test_left_half_plane_rejected(self):
+        # the check computes the mirror point itself, so it takes Re w > 0
+        with pytest.raises(ValidationError, match="positive real part"):
+            verify_no_branching_planar(gaussian2d, -1.0 + 0.5j)
