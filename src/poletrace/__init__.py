@@ -31,7 +31,6 @@ from .paths import (
     BranchTrace,
     CurveSamples,
     WPath,
-    crosses_origin,
     radicand_curve,
     sample_path,
     track_sqrt,

@@ -150,10 +150,14 @@ def _load_config(path: str | None) -> dict:
 
 
 def _setting(args, config, key, default):
+    """A flag's value, else the config's: a JSON number (not a boolean), or a string for out."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key.replace("_", "-"), config.get(key, default))
+    if value is None:
+        value = config.get(key.replace("_", "-"), config.get(key, default))
+    kinds, what = ((str,), "a string") if key == "out" else ((int, float), "a number")
+    if value is not default and (isinstance(value, bool) or not isinstance(value, kinds)):
+        raise ValidationError(f"setting {key!r} must be {what}, got {value!r}")
+    return value
 
 
 def _resolve(args, config, from_dict, name: str):
@@ -241,9 +245,9 @@ def _build_parser() -> _Parser:
 
 def _cmd_branch_points(args, config) -> int:
     model = _resolve(args, config, SpectralModel.from_dict, "model")
+    out = _setting(args, config, "out", None)
     hi, lo = branch_points(model)
     print(f"{_fmt_float(hi.real)} +- {_fmt_float(hi.imag)}i")
-    out = _setting(args, config, "out", None)
     if out:
         payload = {"model": model.as_dict(),
                    "branch_points": [[hi.real, hi.imag], [lo.real, lo.imag]]}
@@ -342,6 +346,8 @@ def _cmd_curve(args, config) -> int:
 
 
 def _cmd_eval_eisenstein(args, config) -> int:
+    if args.completed and args.mode == "lattice_sum":
+        raise ValidationError("--completed evaluates the Fourier expansion, not --mode lattice_sum")
     s = _parse_complex(args.s, "s")
     point = _parse_complex(args.z, "z")
     z = UpperHalfPoint(point.real, point.imag)

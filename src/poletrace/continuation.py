@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidPathPairError, PoleOnContourError, ValidationError
-from .models import SpectralModel, radicand
+from .models import SpectralModel, poles, radicand
 from .numerators import Numerator
 from .paths import (
     BranchSign,
@@ -200,7 +200,7 @@ def branching_difference(
     direct line integral at their end point, which cancels from the
     difference, so none is computed: the difference is the correction term
     at ``path1``'s continued pole, from the branch rule.  Returns it and,
-    independently, the closed-form term at s* = 1/2 - sqrt((w_end - 1/2)^2 + c);
+    independently, the closed-form term at s*, :func:`models.poles`' s_minus;
     the two agree when the branch rule continues the pole correctly.  The
     numerator's symmetry is probed on |Im s| <= T, as for
     :func:`continue_integral`.
@@ -221,5 +221,4 @@ def branching_difference(
 
     check_line_symmetry(numerator, T)
     difference = _correction_term(numerator, model, outside.end_pole).term_value
-    s_star = 0.5 - np.sqrt(radicand(model, w_end))
-    return difference, _correction_term(numerator, model, s_star)
+    return difference, _correction_term(numerator, model, poles(model, w_end).s_minus)

@@ -34,10 +34,6 @@ class DegenerateParametrizationError(ValidationError):
     """alpha = 0 collapses the radicand curve onto the real axis."""
 
 
-class BoundaryCrossingError(ValidationError):
-    """|alpha| = 1 within tolerance: the radicand curve passes through 0."""
-
-
 class InvalidCharacterError(ValidationError):
     """Character parameters with nonzero trace."""
 

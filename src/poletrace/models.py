@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -39,6 +39,8 @@ class GrossencharParams:
     """
 
     t: tuple[float, ...]
+    #: worked out once, because every radicand, pole and branch point reads it
+    norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = tuple(float(x) for x in self.t)
@@ -50,14 +52,11 @@ class GrossencharParams:
         total = sum(t)
         if abs(total) > 1e-14 * max(1.0, sum(abs(x) for x in t)):
             raise InvalidCharacterError(f"character parameters must sum to 0, got {total!r}")
+        object.__setattr__(self, "norm_sq", float(sum(x * x for x in t) / len(t)))
 
     @property
     def n(self) -> int:
         return len(self.t)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(sum(x * x for x in self.t) / len(self.t))
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,8 +215,7 @@ def denominator(model: SpectralModel, s, w: complex):
 
     Accepts an array of s values.
     """
-    q = (complex(w) - 0.5) ** 2 + model.c
-    return model.a * ((np.asarray(s, dtype=complex) - 0.5) ** 2 - q)
+    return model.a * ((np.asarray(s, dtype=complex) - 0.5) ** 2 - radicand(model, w))
 
 
 def eigenvalue_minparabolic_power(s1, s2, s3):
@@ -248,9 +246,20 @@ def eigenvalue_minparabolic_root(s_alpha, s_beta, s_alphabeta):
 def radicand(model: SpectralModel, w):
     """(w - 1/2)^2 + c, the quantity under the square root in the pole formula.
 
-    Accepts an array of w values.
+    A scalar w gives a Python complex.  An array is computed in real
+    arithmetic, Re = (u^2 - v^2) + c and Im = 2uv with u = Re w - 1/2 and
+    v = Im w, so each element equals the scalar call bit for bit on every
+    CPU; numpy's dispatched complex multiply may fuse a product into a sum.
     """
-    return (np.asarray(w, dtype=complex) - 0.5) ** 2 + model.c
+    if isinstance(w, (int, float, complex)):
+        u = complex(w) - 0.5
+        return u * u + model.c
+    w = np.asarray(w, dtype=complex)
+    u, v = w.real - 0.5, w.imag
+    out = np.empty(w.shape, dtype=complex)
+    out.real = (u * u - v * v) + model.c
+    out.imag = 2.0 * u * v + 0.0  # + 0.0 makes Im -0.0 +0.0, as the scalar sum with c does
+    return out
 
 
 def poles(model: SpectralModel, w: complex) -> PolePair:
@@ -272,5 +281,5 @@ def poles(model: SpectralModel, w: complex) -> PolePair:
 
 def branch_points(model: SpectralModel) -> tuple[complex, complex]:
     """The pair 1/2 +- i sqrt(c) where the two integrand poles collide."""
-    root = np.sqrt(complex(model.c))
-    return (0.5 + 1j * root, 0.5 - 1j * root)
+    root = math.sqrt(model.c)
+    return (complex(0.5, root), complex(0.5, -root))

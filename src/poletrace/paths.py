@@ -11,8 +11,7 @@ samples.  :func:`track_sqrt` counts them on a sampled radicand polyline.
 
 For horizontal crossings of the critical line the radicand runs along a
 right-facing parabola; :func:`radicand_curve` produces the samples together
-with the parabola coefficients, and :func:`crosses_origin` implements the
-closed-form criterion for whether that parabola encloses the origin.
+with the parabola coefficients.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    BoundaryCrossingError,
     BranchAmbiguityError,
     BranchPointCollisionError,
     DegenerateParametrizationError,
@@ -33,11 +31,10 @@ from .errors import (
     StartInLeftHalfPlaneError,
     ValidationError,
 )
+from .models import GrossencharParams, SpectralModel, branch_points, radicand
 
 #: tolerance for "the radicand hits the origin"
 COLLISION_TOL = 1e-8
-#: tolerance for "|alpha| = 1" in :func:`crosses_origin`
-BOUNDARY_TOL = 1e-9
 #: most samples :func:`sample_path` produces; a finer step is refused
 MAX_PATH_SAMPLES = 1_000_000
 
@@ -261,8 +258,7 @@ def branch_sign(model, path: WPath) -> BranchSign:
             f"continuation must start right of the critical line, got {path.start}"
         )
     c = float(model.c)
-    root_c = math.sqrt(c)
-    branch = (complex(0.5, root_c), complex(0.5, -root_c))
+    branch = branch_points(model)
     crossings = 0
     for a, b in zip(path.points[:-1], path.points[1:]):
         d = b - a
@@ -276,8 +272,8 @@ def branch_sign(model, path: WPath) -> BranchSign:
                 )
         crossings += _segment_crossing(a, b, c)
     final_sign = +1 if crossings % 2 == 0 else -1
-    u_end = path.end - 0.5
-    return BranchSign(crossings, final_sign, 0.5 + final_sign * cmath.sqrt(u_end * u_end + c))
+    end_pole = 0.5 + final_sign * cmath.sqrt(radicand(model, path.end))
+    return BranchSign(crossings, final_sign, end_pole)
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,32 +287,6 @@ class ParabolaCoeffs:
         return {"a2": self.a2, "c0": self.c0}
 
 
-def _sample_quadratic_curve(height: float, offset: float, sigma_range, step: float):
-    """Samples of (sigma + i*height)^2 + offset for sigma in sigma_range.
-
-    The spacing is at most ``step`` along the curve, with at least 8
-    intervals; the step is checked as :func:`sample_path` checks it.
-    """
-    lo, hi = float(sigma_range[0]), float(sigma_range[1])
-    if not hi > lo:
-        raise InvalidPathError(f"empty sigma range ({lo}, {hi})")
-    speed = 2.0 * np.hypot(max(abs(lo), abs(hi)), abs(height))
-    (n,) = _interval_counts([speed * (hi - lo)], step, "the radicand curve", minimum=8)
-    sigma = np.linspace(lo, hi, n + 1)
-    z = (sigma + 1j * height) ** 2 + offset
-    return CurveSamples(z)
-
-
-def _require_crossing(t_norm: float, alpha: float) -> None:
-    """Refuse a crossing height alpha * t_norm that is degenerate or not finite."""
-    if not 0 < t_norm < math.inf:
-        raise DegenerateParametrizationError(f"t_norm must be positive and finite, got {t_norm}")
-    if not math.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha}")
-    if alpha == 0:
-        raise DegenerateParametrizationError("alpha = 0 collapses the curve onto the real axis")
-
-
 def radicand_curve(
     t_norm: float,
     alpha: float,
@@ -325,25 +295,30 @@ def radicand_curve(
 ) -> tuple[CurveSamples, ParabolaCoeffs]:
     """Radicand curve for a horizontal crossing at height alpha * t_norm.
 
-    The curve is (sigma^2 + (1 - alpha^2) t^2) + (2 sigma alpha t) i, a
-    right-facing parabola x = (y^2 + 4 alpha^2 (1 - alpha^2) t^4) / (4 alpha^2 t^2).
+    The samples are the radicand of the HilbertMaass model with
+    t = (t_norm, -t_norm), whose c is t_norm^2, at w = 1/2 + sigma +
+    i alpha t_norm for sigma in ``sigma_range``: the curve
+    (sigma^2 + (1 - alpha^2) t^2) + (2 sigma alpha t) i, a right-facing
+    parabola x = (y^2 + 4 alpha^2 (1 - alpha^2) t^4) / (4 alpha^2 t^2).  The
+    spacing is at most ``step`` along the curve, with at least 8 intervals;
+    the step is checked as :func:`sample_path` checks it.
     """
-    _require_crossing(t_norm, alpha)
-    samples = _sample_quadratic_curve(alpha * t_norm, t_norm**2, sigma_range, step)
+    if not 0 < t_norm < math.inf:
+        raise DegenerateParametrizationError(f"t_norm must be positive and finite, got {t_norm}")
+    if not math.isfinite(alpha):
+        raise ValidationError(f"alpha must be finite, got {alpha}")
+    if alpha == 0:
+        raise DegenerateParametrizationError("alpha = 0 collapses the curve onto the real axis")
+    lo, hi = float(sigma_range[0]), float(sigma_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidPathError(f"sigma range ({lo}, {hi}) must have finite bounds")
+    if not hi > lo:
+        raise InvalidPathError(f"empty sigma range ({lo}, {hi})")
+    height = alpha * t_norm
+    speed = 2.0 * np.hypot(max(abs(lo), abs(hi)), abs(height))
+    (n,) = _interval_counts([speed * (hi - lo)], step, "the radicand curve", minimum=8)
+    w = 0.5 + np.linspace(lo, hi, n + 1) + 1j * height
+    model = SpectralModel.hilbert_maass(GrossencharParams((t_norm, -t_norm)))
     a2 = 1.0 / (4.0 * alpha**2 * t_norm**2)
     c0 = (1.0 - alpha**2) * t_norm**2
-    return samples, ParabolaCoeffs(a2=a2, c0=c0)
-
-
-def crosses_origin(t_norm: float, alpha: float) -> bool:
-    """Whether the radicand parabola travels around the origin.
-
-    True exactly when |alpha| > 1, i.e. when the crossing height exceeds the
-    branch-point height t_norm.
-    """
-    _require_crossing(t_norm, alpha)
-    if abs(abs(alpha) - 1.0) <= BOUNDARY_TOL:
-        raise BoundaryCrossingError(
-            f"|alpha| = 1 within tolerance {BOUNDARY_TOL:g}: curve passes through the origin"
-        )
-    return abs(alpha) > 1.0
+    return CurveSamples(radicand(model, w)), ParabolaCoeffs(a2=a2, c0=c0)

@@ -54,6 +54,8 @@ _WEIGHTS_G[1:-1:2] = np.concatenate((_WG[:-1], _WG[::-1]))  # Gauss nodes interl
 _WEIGHTS_KG = np.stack((_WEIGHTS_K, _WEIGHTS_G))           # one row per rule
 #: relative summation noise below which a round does not refine
 _NOISE = 50.0 * np.finfo(float).eps
+#: panels at which :func:`adaptive_quadrature` stops refining and raises
+MAX_INTERVALS = 8192
 
 
 def _gk15(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,13 +81,12 @@ def adaptive_quadrature(
     b: float,
     tol: float = 1e-11,
     initial_points=None,
-    max_intervals: int = 8192,
 ) -> tuple[complex, float]:
     """Integrate a complex-valued f over [a, b] by adaptive GK15.
 
     ``f`` must accept an ndarray of real abscissae.  Convergence requires the
     summed error estimates to fall below tol * max(1, |integral|); a round
-    that starts with ``max_intervals`` panels or more raises with the worst
+    that starts with :data:`MAX_INTERVALS` panels or more raises with the worst
     interval attached, and so does a non-finite integrand value.
     """
     seeds = [] if initial_points is None else initial_points
@@ -109,7 +110,7 @@ def adaptive_quadrature(
         if total_err <= target:
             return total, total_err
         worst = int(np.argmax(err))
-        if len(lo) >= max_intervals:
+        if len(lo) >= MAX_INTERVALS:
             raise QuadratureFailureError(
                 f"adaptive quadrature stalled at {len(lo)} intervals "
                 f"(err {total_err:.3g}); worst interval [{lo[worst]:g}, {hi[worst]:g}]",

@@ -29,7 +29,7 @@ from .models import (
     poles,
 )
 from .numerators import Numerator
-from .paths import WPath, crosses_origin, radicand_curve, track_sqrt
+from .paths import WPath, branch_sign, radicand_curve, track_sqrt
 from .planar import planar_singular_integral, radial_singular_quadrature, verify_no_branching_planar
 from .quadrature import singular_line_integral, singular_line_quadrature
 
@@ -193,18 +193,22 @@ def criterion_no_branching() -> CriterionResult:
 
 
 def criterion_winding() -> CriterionResult:
-    """Closed-form winding criterion against the tracked branch parity."""
+    """:func:`paths.branch_sign`'s closed-form rule against the parity of a root
+    tracked by continuity alone along :func:`paths.radicand_curve`'s samples."""
     mags = np.concatenate((np.linspace(0.2, 0.95, 5), np.linspace(1.05, 3.0, 5)))
     alphas = np.concatenate((mags, -mags))
     disagreements = 0
     total = 0
     for t_norm in (0.5, 1.0, 1.7, 2.6, 4.0):
-        for alpha in alphas:
+        model = _hilbert(t_norm)
+        for alpha in alphas.tolist():
             total += 1
             span = 1.5 * abs(alpha) * t_norm + 1.0
-            samples, _ = radicand_curve(t_norm, float(alpha), (-span, span), step=0.02)
-            trace = track_sqrt(samples)
-            if crosses_origin(t_norm, float(alpha)) != (trace.cut_crossings % 2 == 1):
+            height = alpha * t_norm
+            path = WPath((complex(0.5 + span, height), complex(0.5 - span, height)))
+            flips = branch_sign(model, path).final_sign == -1
+            samples, _ = radicand_curve(t_norm, alpha, (-span, span), step=0.02)
+            if flips != (track_sqrt(samples).cut_crossings % 2 == 1):
                 disagreements += 1
     return CriterionResult(
         "7",

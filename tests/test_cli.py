@@ -297,6 +297,16 @@ class TestCurve:
         assert not (tmp_path / "out").exists()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("sigma_range", ["nan,3", "-inf,3", "0,inf"])
+    def test_non_finite_sigma_range_is_refused(self, sigma_range, tmp_path, capsys):
+        lo, hi = (float(x) for x in sigma_range.split(","))
+        code = main(["curve", "--t-norm", "1", "--alpha", "2", f"--sigma-range={sigma_range}",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sigma range ({lo}, {hi}) must have finite bounds\n"
+
     def test_alpha_sweep_minimum_shifts_left(self, tmp_path):
         # alpha = 2 at |t| = 1 has its leftmost point at x = -3 < 0
         for alpha in ("0.5", "2"):
@@ -350,6 +360,40 @@ class TestConfig:
     def test_missing_model_everywhere(self, capsys):
         assert main(["branch-points"]) == 1
 
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("continue", 'T = "abc"', "setting 'T' must be a number, got 'abc'"),
+            ("diff", 'T = "abc"', "setting 'T' must be a number, got 'abc'"),
+            ("continue", "T = [1, 2]", "setting 'T' must be a number, got [1, 2]"),
+            ("continue", "T = true", "setting 'T' must be a number, got True"),
+            ("continue", "tol = 1e-9x", "setting 'tol' must be a number, got '1e-9x'"),
+            ("trace", 'step = "x"', "setting 'step' must be a number, got 'x'"),
+            ("curve", 'step = "x"', "setting 'step' must be a number, got 'x'"),
+            ("trace", "out = 3", "setting 'out' must be a string, got 3"),
+            ("branch-points", "out = 3", "setting 'out' must be a string, got 3"),
+        ],
+    )
+    def test_setting_of_the_wrong_type_is_refused(
+        self, model_file, numerator_file, tmp_path, capsys, command, line, message
+    ):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        argv = {
+            "branch-points": ["--model", model_file],
+            "trace": ["--model", model_file, "--path", OUTSIDE],
+            "continue": ["--model", model_file, "--numerator", numerator_file, "--path", OUTSIDE],
+            "diff": ["--model", model_file, "--numerator", numerator_file, "--path", OUTSIDE,
+                     "--path2", INSIDE, "--w-end", "0.25,2.5"],
+            "curve": ["--t-norm", "1", "--alpha", "2"],
+        }[command]
+        if "out" not in line:
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(["--config", str(config), command, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestEvalEisenstein:
     def test_point_evaluation(self, capsys):
@@ -360,6 +404,13 @@ class TestEvalEisenstein:
         assert code == 0
         fourier = complex(*map(float, capsys.readouterr().out.split()))
         assert abs(lattice - fourier) <= 1e-6 * abs(lattice)
+
+    def test_completed_refuses_the_lattice_mode(self, capsys):
+        argv = ["eval-eisenstein", "--s", "2.5,0", "--z", "0,1", "--completed"]
+        assert main(argv + ["--mode", "lattice_sum"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--completed" in captured.err and "--mode lattice_sum" in captured.err
 
     def test_completed_flag(self, capsys):
         assert main(["eval-eisenstein", "--s", "0.5,2.2", "--z", "0,1", "--completed"]) == 0

@@ -3,11 +3,15 @@
 Reruns within one version are compared elsewhere; these pins catch a change
 of any output file or printed line between versions.  ``tests/golden/<name>``
 holds each example's stdout and output files; the long CSV and SVG files are
-pinned by their SHA-256 in ``<file>.sha256``.
+pinned by their SHA-256 in ``<file>.sha256``.  The pins hold on any x86-64
+CPU: the examples are rerun with numpy's dispatched SIMD loops switched off.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,20 @@ def test_readme_example_output_is_pinned(name, tmp_path, capsys):
             assert got == (expected / pin).read_text().strip(), pin
         else:
             assert (out / pin).read_bytes() == (expected / pin).read_bytes(), pin
+
+
+def test_pins_hold_without_dispatched_simd():
+    # numpy's AVX2 and AVX-512 loops may fuse a multiply into an add; the
+    # baseline loops do not, and the output bytes must not depend on which ran
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if not features:
+        pytest.skip("numpy dispatches no CPU feature on this host")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features), PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_readme_example_output_is_pinned"],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr

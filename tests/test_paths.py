@@ -1,20 +1,21 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from poletrace.errors import (
-    BoundaryCrossingError,
     BranchPointCollisionError,
     DegenerateParametrizationError,
     InvalidPathError,
     ValidationError,
 )
+from poletrace.models import GrossencharParams, SpectralModel, radicand
 from poletrace.paths import (
     MAX_PATH_SAMPLES,
     CurveSamples,
     WPath,
-    crosses_origin,
+    branch_sign,
     radicand_curve,
     sample_path,
     track_sqrt,
@@ -166,30 +167,57 @@ class TestRadicandCurve:
         with pytest.raises(DegenerateParametrizationError):
             radicand_curve(1.0, 0.0)
 
+    @pytest.mark.parametrize("sigma_range, shown", [
+        ((float("nan"), 3.0), "(nan, 3.0)"),
+        ((float("-inf"), 3.0), "(-inf, 3.0)"),
+        ((0.0, float("inf")), "(0.0, inf)"),
+    ])
+    def test_non_finite_sigma_range_refused(self, sigma_range, shown):
+        message = re.escape(f"sigma range {shown} must have finite bounds")
+        with pytest.raises(InvalidPathError, match=message):
+            radicand_curve(1.0, 2.0, sigma_range)
+
+    def test_samples_are_the_model_radicand(self):
+        # models.radicand of t = (t_norm, -t_norm) along w = 1/2 + sigma + i alpha t_norm
+        samples, _ = radicand_curve(1.3, -1.7, (-2.5, 2.5), 0.02)
+        model = SpectralModel.hilbert_maass(GrossencharParams((1.3, -1.3)))
+        w = 0.5 + np.linspace(-2.5, 2.5, len(samples)) + 1j * (-1.7 * 1.3)
+        assert np.array_equal(samples.samples, radicand(model, w))
+
+
+def _flips(t_norm, alpha):
+    """branch_sign's verdict on a leftward crossing of the critical line at alpha * t_norm."""
+    model = SpectralModel.hilbert_maass(GrossencharParams((t_norm, -t_norm)))
+    span = 1.5 * abs(alpha) * t_norm + 1.0
+    path = WPath((complex(0.5 + span, alpha * t_norm), complex(0.5 - span, alpha * t_norm)))
+    return branch_sign(model, path).final_sign == -1
+
 
 class TestCrossesOrigin:
+    """The radicand parabola encloses the origin exactly when branch_sign flips the branch."""
+
     def test_inside(self):
-        assert crosses_origin(1.0, 0.5) is False
+        assert _flips(1.0, 0.5) is False
 
     def test_outside(self):
-        assert crosses_origin(1.0, 2.0) is True
+        assert _flips(1.0, 2.0) is True
 
     def test_boundary_raises(self):
-        with pytest.raises(BoundaryCrossingError):
-            crosses_origin(2.0, -1.0)
+        # |alpha| = 1: the path runs through the branch point 1/2 - 2i
+        with pytest.raises(BranchPointCollisionError):
+            _flips(2.0, -1.0)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateParametrizationError):
-            crosses_origin(1.0, 0.0)
+            radicand_curve(1.0, 0.0)
 
     @pytest.mark.parametrize("t_norm, alpha, message", [
         (float("nan"), 2.0, "t_norm"), (float("inf"), 2.0, "t_norm"),
         (1.0, float("nan"), "alpha"), (1.0, float("-inf"), "alpha"),
     ])
     def test_non_finite_refused(self, t_norm, alpha, message):
-        for call in (crosses_origin, radicand_curve):
-            with pytest.raises(ValidationError, match=f"{message} must be"):
-                call(t_norm, alpha)
+        with pytest.raises(ValidationError, match=f"{message} must be"):
+            radicand_curve(t_norm, alpha)
 
     def test_agrees_with_tracked_parity(self):
         # oracle: branch parity of the tracked root over the full sweep
@@ -198,5 +226,4 @@ class TestCrossesOrigin:
                 span = 1.5 * abs(alpha) * t_norm + 1.0
                 samples, _ = radicand_curve(t_norm, alpha, (-span, span), 0.02)
                 trace = track_sqrt(samples)
-                assert crosses_origin(t_norm, alpha) == (trace.cut_crossings % 2 != 0)
-
+                assert _flips(t_norm, alpha) == (trace.cut_crossings % 2 != 0)
