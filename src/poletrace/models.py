@@ -39,8 +39,6 @@ class GrossencharParams:
     """
 
     t: tuple[float, ...]
-    #: worked out once, because every radicand, pole and branch point reads it
-    norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = tuple(float(x) for x in self.t)
@@ -52,20 +50,32 @@ class GrossencharParams:
         total = sum(t)
         if abs(total) > 1e-14 * max(1.0, sum(abs(x) for x in t)):
             raise InvalidCharacterError(f"character parameters must sum to 0, got {total!r}")
-        object.__setattr__(self, "norm_sq", float(sum(x * x for x in t) / len(t)))
 
     @property
     def n(self) -> int:
         return len(self.t)
 
+    @property
+    def norm_sq(self) -> float:
+        return float(sum(x * x for x in self.t) / len(self.t))
+
 
 @dataclass(frozen=True, slots=True)
 class SpectralModel:
-    """An eigenvalue family lambda(s) with factorization data (a, c, nu)."""
+    """An eigenvalue family lambda(s) with factorization data (a, c, nu).
+
+    ``a`` is the leading coefficient of lambda(s) - lambda(w) in (s - 1/2)^2,
+    ``c`` the radicand offset (the poles sit at 1/2 +- sqrt((w - 1/2)^2 + c))
+    and ``nu`` the pole order of the spectral integrand.  They are worked out
+    from the kind once, when the model is built.
+    """
 
     kind: ModelKind
     chi: Optional[GrossencharParams] = None
     t_f: complex = 0.0
+    a: float = field(init=False, repr=False, compare=False)
+    c: float = field(init=False, repr=False, compare=False)
+    nu: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ModelKind(self.kind))
@@ -82,6 +92,15 @@ class SpectralModel:
                 raise ValidationError(
                     f"t_f must be real or in -i[0, 1/2], got {t_f}"
                 )
+        if self.kind is ModelKind.GL2Q:
+            a, c, nu = 1.0, 0.0, 1
+        elif self.kind is ModelKind.HILBERT_MAASS:
+            a, c, nu = 1.0, self.chi.norm_sq, 1
+        else:
+            a, c, nu = 6.0, float(((self.t_f**2 + 0.25) / 3.0).real), 2
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "nu", nu)
 
     # -- factory helpers -------------------------------------------------
 
@@ -96,28 +115,6 @@ class SpectralModel:
     @classmethod
     def gl3_cuspidal(cls, t_f: complex) -> "SpectralModel":
         return cls(ModelKind.GL3_CUSPIDAL, t_f=t_f)
-
-    # -- factorization data ----------------------------------------------
-
-    @property
-    def a(self) -> float:
-        """Leading coefficient of lambda(s) - lambda(w) in (s - 1/2)^2."""
-        return 6.0 if self.kind is ModelKind.GL3_CUSPIDAL else 1.0
-
-    @property
-    def c(self) -> float:
-        """Radicand offset: poles sit at 1/2 +- sqrt((w - 1/2)^2 + c)."""
-        if self.kind is ModelKind.GL2Q:
-            return 0.0
-        if self.kind is ModelKind.HILBERT_MAASS:
-            return self.chi.norm_sq
-        c = (self.t_f**2 + 0.25) / 3.0
-        return float(c.real)
-
-    @property
-    def nu(self) -> int:
-        """Pole order of the spectral integrand."""
-        return 2 if self.kind is ModelKind.GL3_CUSPIDAL else 1
 
     # -- serialization ----------------------------------------------------
 
@@ -139,25 +136,59 @@ class SpectralModel:
             if kind is ModelKind.GL2Q:
                 model = cls.gl2q()
             elif kind is ModelKind.HILBERT_MAASS:
-                model = cls.hilbert_maass(GrossencharParams(tuple(d["t"])))
+                model = cls.hilbert_maass(GrossencharParams(_json_reals(d["t"], "model", "t")))
             else:
-                t_f = d.get("t_f", 0.0)
-                if isinstance(t_f, (list, tuple)):
-                    t_f = complex(t_f[0], t_f[1])
-                model = cls.gl3_cuspidal(t_f)
+                model = cls.gl3_cuspidal(_json_complex(d.get("t_f", 0.0), "model", "t_f"))
             for key in ("a", "c", "nu"):
                 if key in d:
                     got = getattr(model, key)
-                    if abs(got - d[key]) > 1e-12 * max(1.0, abs(got)):
+                    if abs(got - _json_real(d[key], "model", key)) > 1e-12 * max(1.0, abs(got)):
                         raise ValidationError(
                             f"descriptor field {key}={d[key]} inconsistent with kind "
                             f"(expected {got})"
                         )
         except ValidationError:
             raise
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ValidationError(f"bad model descriptor: {exc!r}") from exc
         return model
+
+
+# -- descriptor fields ---------------------------------------------------------
+
+
+def _is_json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_real(value, what: str, name: str):
+    """A descriptor field that must be a JSON number: not a boolean, not a string."""
+    if not _is_json_number(value):
+        raise ValidationError(f"bad {what} descriptor: {name} must be a number, got {value!r}")
+    return value
+
+
+def _json_reals(value, what: str, name: str, n: Optional[int] = None) -> tuple:
+    """A descriptor field that must be a JSON list of numbers (of length n)."""
+    if not (isinstance(value, list) and n in (None, len(value))
+            and all(map(_is_json_number, value))):
+        size = "" if n is None else f"{n} "
+        raise ValidationError(
+            f"bad {what} descriptor: {name} must be a list of {size}numbers, got {value!r}"
+        )
+    return tuple(value)
+
+
+def _json_complex(value, what: str, name: str) -> complex:
+    """A descriptor field that must be a JSON number or a [re, im] pair of numbers."""
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_json_number, value)):
+        return complex(value[0], value[1])
+    if not _is_json_number(value):
+        raise ValidationError(
+            f"bad {what} descriptor: {name} must be a number or a [re, im] pair of numbers, "
+            f"got {value!r}"
+        )
+    return complex(value)
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,7 +6,8 @@ completed normalization (so each factor satisfies the functional equation
 exactly and the product decays exponentially on the line).  A constant is
 admissible for both pole orders: its integrand decays like |Im s|^(-2 nu), so
 the full-line integral converges, and ``continue`` adds its part beyond the
-truncation height T in closed form.  Non-finite fields are refused.
+truncation height T in closed form.  Non-finite fields are refused, and so
+are descriptor fields of the wrong JSON type.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .eisenstein import UpperHalfPoint, eisenstein_gl2_completed
 from .errors import ValidationError
+from .models import _is_json_number, _json_complex, _json_real, _json_reals
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,22 +85,27 @@ class Numerator:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Numerator":
-        def _cplx(v):
-            return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-
+        """A numerator from its JSON descriptor; every number field takes a JSON number."""
         try:
             kind = d["kind"]
-            scale = _cplx(d.get("scale", 1.0))
+            scale = _json_complex(d.get("scale", 1.0), "numerator", "scale")
             if kind == "constant":
-                return cls.constant(_cplx(d.get("value", 1.0)), scale)
+                return cls.constant(_json_complex(d.get("value", 1.0), "numerator", "value"), scale)
             if kind == "gaussian":
-                return cls.synthetic_gaussian(float(d.get("width", 1.0)), scale)
+                width = _json_real(d.get("width", 1.0), "numerator", "width")
+                return cls.synthetic_gaussian(width, scale)
             if kind == "eisenstein_product":
-                z0 = UpperHalfPoint(*d["z0"])
-                z = UpperHalfPoint(*d["z"])
-                return cls.eisenstein_product_gl2(z0, z, int(d.get("n_terms", 30)), scale)
+                z0 = UpperHalfPoint(*_json_reals(d["z0"], "numerator", "z0", 2))
+                z = UpperHalfPoint(*_json_reals(d["z"], "numerator", "z", 2))
+                n_terms = d.get("n_terms", 30)
+                if not (_is_json_number(n_terms) and isinstance(n_terms, int) and n_terms >= 0):
+                    raise ValidationError(
+                        f"bad numerator descriptor: n_terms must be a non-negative integer, "
+                        f"got {n_terms!r}"
+                    )
+                return cls.eisenstein_product_gl2(z0, z, n_terms, scale)
         except ValidationError:
             raise
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ValidationError(f"bad numerator descriptor: {exc!r}") from exc
         raise ValidationError(f"unknown numerator kind {kind!r}")

@@ -102,14 +102,17 @@ class TestContinueAndDiff:
         correction = payload["corrections"][0]
         assert set(correction) == {"s_star", "nu", "coefficient", "numerator_value", "term_value"}
 
-    def test_diff_reports_agreement(self, model_file, numerator_file, tmp_path, capsys):
+    def test_diff_reports_the_correction_term(self, model_file, numerator_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["diff", "--model", model_file, "--numerator", numerator_file,
                      "--path", OUTSIDE, "--path2", INSIDE, "--w-end", "0.25,2.5",
                      "--out", str(out)])
         assert code == 0
         payload = json.loads((out / "diff.json").read_text())
-        assert payload["relative_agreement"] < 1e-6
+        assert set(payload) == {"difference", "closed_form"}
+        assert payload["difference"] == payload["closed_form"]["term_value"]
+        s_star = complex(*payload["closed_form"]["s_star"])
+        assert capsys.readouterr().out.endswith(f" at s* {s_star:.12g}\n")
 
     def test_diff_rerun_byte_identical(self, model_file, numerator_file, tmp_path):
         out = tmp_path / "out"
@@ -158,6 +161,21 @@ class TestContinueAndDiff:
         assert captured.err == "error: numerator value must be finite, got (nan+0j)\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("T, code", [("1", 2), ("5", 0)])
+    def test_gaussian_tail_beyond_T_is_bounded(
+        self, model_file, numerator_file, tmp_path, capsys, T, code
+    ):
+        out = tmp_path / "out"
+        assert main(["continue", "--model", model_file, "--numerator", numerator_file,
+                     "--path", "1.3,0;1.2,0.3", "--T", T, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("numerical failure: the Gaussian numerator's integral "
+                                  "beyond T = 1 may reach 0.114, more than ")
+            assert not out.exists()
+        else:
+            assert err == ""
+
     def test_swapped_paths_validation_error(self, model_file, numerator_file, tmp_path):
         code = main(["diff", "--model", model_file, "--numerator", numerator_file,
                      "--path", INSIDE, "--path2", OUTSIDE, "--w-end", "0.25,2.5",
@@ -196,6 +214,44 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
+
+    @pytest.mark.parametrize(
+        "which, descriptor, message",
+        [
+            ("numerator", {"kind": "gaussian", "width": True},
+             "bad numerator descriptor: width must be a number, got True"),
+            ("model", {"kind": "HilbertMaass", "t": ["1", "-1"]},
+             "bad model descriptor: t must be a list of numbers, got ['1', '-1']"),
+            ("numerator", {"kind": "constant", "value": "2+1j"},
+             "bad numerator descriptor: value must be a number or a [re, im] pair of numbers, "
+             "got '2+1j'"),
+            ("numerator", {"kind": "gaussian", "scale": [1, True]},
+             "bad numerator descriptor: scale must be a number or a [re, im] pair of numbers, "
+             "got [1, True]"),
+            ("model", {"kind": "GL3Cuspidal", "t_f": "1"},
+             "bad model descriptor: t_f must be a number or a [re, im] pair of numbers, got '1'"),
+            ("model", {"kind": "GL2Q", "nu": True},
+             "bad model descriptor: nu must be a number, got True"),
+            ("numerator", {"kind": "eisenstein_product", "z0": [0, "1"], "z": [0, 1]},
+             "bad numerator descriptor: z0 must be a list of 2 numbers, got [0, '1']"),
+        ] + [
+            ("numerator", {"kind": "eisenstein_product", "z0": [0, 1], "z": [0, 1], "n_terms": n},
+             f"bad numerator descriptor: n_terms must be a non-negative integer, got {n!r}")
+            for n in (2.7, True, "8", -1)
+        ],
+    )
+    def test_number_field_of_the_wrong_json_type_is_refused(
+        self, model_file, numerator_file, tmp_path, capsys, which, descriptor, message
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(descriptor))
+        files = {"model": model_file, "numerator": numerator_file, which: str(bad)}
+        code = main(["continue", "--model", files["model"], "--numerator", files["numerator"],
+                     "--path", OUTSIDE, "--out", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_point_is_a_validation_error(self, capsys):
         assert main(["eval-eisenstein", "--s", "0.5,3", "--z", "1"]) == 1

@@ -17,6 +17,7 @@ from poletrace.eisenstein import UpperHalfPoint
 from poletrace.errors import (
     BranchPointCollisionError,
     InvalidPathPairError,
+    NumericalError,
     PoleOnContourError,
     StartInLeftHalfPlaneError,
 )
@@ -26,6 +27,7 @@ from poletrace.paths import CurveSamples, WPath, branch_sign, sample_path, track
 from poletrace.quadrature import (
     adaptive_line_quadrature,
     adaptive_quadrature,
+    direct_line_integral,
     singular_line_integral,
 )
 
@@ -342,6 +344,25 @@ class TestContinueIntegral:
         full_line = numerator.value * numerator.scale * singular_line_integral(model, s_star)
         assert abs(result.endpoint_value - full_line) <= 1e-12 * max(1.0, abs(full_line))
 
+    @pytest.mark.parametrize(
+        "model", [hilbert(1.0), SpectralModel.gl3_cuspidal(1.0)], ids=["nu=1", "nu=2"]
+    )
+    def test_gaussian_tail_bound_holds(self, model):
+        numerator = Numerator.synthetic_gaussian()
+        w_end = 1.2 + 0.3j
+        full, _ = direct_line_integral(numerator, model, w_end, T=40.0, tol=1e-13)
+        for T in (1.0, 2.0, 3.0, 4.0):
+            truncated, _ = direct_line_integral(numerator, model, w_end, T=T, tol=1e-13)
+            bound = continuation._gaussian_tail_bound(numerator, model, w_end, T)
+            assert abs(full - truncated) <= bound <= 2.0 * abs(full - truncated)
+
+    def test_gaussian_with_a_tail_above_tol_is_refused(self):
+        # at T = 1 the part of the line beyond T is 0.090 of a value near 1
+        path = WPath((1.3 + 0j, 1.2 + 0.3j))
+        with pytest.raises(NumericalError, match=r"beyond T = 1 may reach 0\.114"):
+            continue_integral(Numerator.synthetic_gaussian(), hilbert(1.0), path, T=1.0)
+        continue_integral(Numerator.synthetic_gaussian(), hilbert(1.0), path, T=5.0)
+
     def test_endpoint_margin_enforced(self):
         model = hilbert(1.0)
         path = WPath((1.2 + 0j, 0.52 + 2j))
@@ -413,6 +434,26 @@ class TestBranchingDifference:
         diff, term = branching_difference(numerator, model, w_end, outside, inside, T=40.0)
         assert term.s_star == pytest.approx(0.5 - np.sqrt(radicand(model, w_end)), rel=1e-14)
         assert diff == pytest.approx(term.term_value, rel=1e-9)
+
+    @pytest.mark.parametrize("model", [hilbert(1.0), SpectralModel.gl3_cuspidal(1.0)],
+                             ids=["nu=1", "nu=2"])
+    def test_one_term_at_the_continued_pole(self, model):
+        # the numerator is called for the symmetry probe and once more, at s*
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return Numerator.synthetic_gaussian()(s)
+
+        r = np.sqrt(model.c)
+        w_end = complex(0.25, 1.2 * r)
+        outside = crossing_path(1.5 * r, w_end)
+        diff, term = branching_difference(
+            counting, model, w_end, outside, crossing_path(0.5 * r, w_end)
+        )
+        assert len(calls) == 2
+        assert calls[1] == term.s_star == branch_sign(model, outside).end_pole
+        assert diff == term.term_value
 
     def test_one_probe_and_no_direct_integral(self, monkeypatch):
         # the direct integral at the shared end point cancels from the difference

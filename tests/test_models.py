@@ -266,6 +266,29 @@ class TestModelDescriptor:
         assert restored.c == pytest.approx(model.c)
         assert restored.nu == model.nu
 
+    @pytest.mark.parametrize(
+        "build, fields",
+        [
+            (SpectralModel.gl2q, "kind=<ModelKind.GL2Q: 'GL2Q'>, chi=None, t_f=0j"),
+            (lambda: hilbert(1.5), "kind=<ModelKind.HILBERT_MAASS: 'HilbertMaass'>, "
+                                   "chi=GrossencharParams(t=(1.5, -1.5)), t_f=0j"),
+            (lambda: SpectralModel.gl3_cuspidal(1.0),
+             "kind=<ModelKind.GL3_CUSPIDAL: 'GL3Cuspidal'>, chi=None, t_f=(1+0j)"),
+        ],
+        ids=["GL2Q", "HilbertMaass", "GL3Cuspidal"],
+    )
+    def test_derived_fields_leave_identity_alone(self, build, fields):
+        # a, c and nu are worked out once from the kind; equality, hash and
+        # repr read only what the model was built from
+        model, again = build(), build()
+        assert model == again and hash(model) == hash(again)
+        assert repr(model) == f"SpectralModel({fields})"
+        restored = SpectralModel.from_dict(model.as_dict())
+        assert restored == model and hash(restored) == hash(model)
+        assert (restored.a, restored.c, restored.nu) == (model.a, model.c, model.nu)
+        with pytest.raises(ValidationError, match="inconsistent with kind"):
+            SpectralModel.from_dict({**model.as_dict(), "c": model.c + 1.0})
+
     def test_inconsistent_descriptor_rejected(self):
         with pytest.raises(ValidationError):
             SpectralModel.from_dict({"kind": "GL2Q", "c": 5.0})
