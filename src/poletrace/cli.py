@@ -3,11 +3,13 @@
 Subcommands: branch-points, trace, continue, diff, verify, curve, plus
 eval-eisenstein for debugging point evaluations.  Model and numerator
 descriptors are JSON files; paths are inline waypoint strings like
-"1.2,0;1.2,2;0.25,2.5".  Settings (including inline model/numerator/path
-descriptors) may also come from a flat key = value config file with JSON
-values; command-line flags win.  All emitted JSON fixes floating-point
-formatting at 17 significant digits and files are written atomically, so
-reruns are byte-identical.
+"1.2,0;1.2,2;0.25,2.5".  A flat key = value config file with JSON values
+(see :data:`_CONFIG_KEYS`) may give model, numerator, path, path2, w-end,
+out, T, tol and step; its values become the sub-parsers' defaults, so
+command-line flags win and every command reads its settings from the parsed
+arguments alone.  All emitted JSON fixes floating-point formatting at 17
+significant digits and files are written atomically, so reruns are
+byte-identical.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
@@ -44,7 +46,9 @@ def _parse_complex(text: str, name: str) -> complex:
     return value
 
 
-def _parse_path(text: str, label: str = "") -> WPath:
+def _parse_path(text: str | None, key: str = "path", label: str = "") -> WPath:
+    if text is None:
+        raise ValidationError(f"no path given (flag --{key} or config key {key!r})")
     points = tuple(_parse_complex(part, "path point") for part in text.split(";") if part.strip())
     return WPath(points, label=label)
 
@@ -118,7 +122,12 @@ def _write_svg(path: Path, samples, width: int = 640, height: int = 480) -> None
     _write_atomic(path, svg)
 
 
-def _load(spec: str, from_dict, name: str):
+def _load(spec, from_dict, name: str):
+    """A descriptor given inline (an object from the config) or by file name."""
+    if spec is None:
+        raise ValidationError(f"no {name} given (flag --{name} or config key '{name}')")
+    if isinstance(spec, dict):
+        return from_dict(spec)
     try:
         with open(spec) as fh:
             return from_dict(json.load(fh))
@@ -128,55 +137,47 @@ def _load(spec: str, from_dict, name: str):
         raise ValidationError(f"{name} file is not valid JSON: {exc}") from exc
 
 
-def _load_config(path: str | None) -> dict:
-    """Flat key = JSON-value settings file; unknown keys are ignored."""
-    if path is None:
-        return {}
+#: every setting a config file may give, with the JSON types it may take
+_CONFIG_KEYS = {
+    **dict.fromkeys(("model", "numerator"), ((dict, str), "an object or a file name")),
+    **dict.fromkeys(("path", "path2", "w-end", "w_end", "out"), ((str,), "a string")),
+    **dict.fromkeys(("T", "tol", "step"), ((int, float), "a number")),
+}
+
+
+def _load_config(path: str) -> dict:
+    """Flat key = JSON-value settings file, as parser defaults keyed by dest.
+
+    Blank lines and lines starting with '#' are skipped, and a value that is
+    not JSON is read as a string.  Every other line must be key = value with
+    a key of :data:`_CONFIG_KEYS` and a value of one of its types (a number
+    is not a boolean); anything else is refused.  A key that only another
+    command reads is accepted, so one file can serve several commands.
+    """
     config = {}
     try:
         with open(path) as fh:
-            for raw in fh:
+            for number, raw in enumerate(fh, start=1):
                 line = raw.strip()
-                if not line or line.startswith("#") or "=" not in line:
+                if not line or line.startswith("#"):
                     continue
-                key, _, value = line.partition("=")
+                key, equals, text = (part.strip() for part in line.partition("="))
+                if not equals:
+                    raise ValidationError(f"config line {number} is not 'key = value': {line!r}")
+                if key not in _CONFIG_KEYS:
+                    raise ValidationError(f"unknown config key {key!r}")
                 try:
-                    config[key.strip()] = json.loads(value.strip())
+                    value = json.loads(text)
                 except json.JSONDecodeError:
-                    config[key.strip()] = value.strip()
+                    value = text
+                kinds, what = _CONFIG_KEYS[key]
+                if isinstance(value, bool) or not isinstance(value, kinds):
+                    raise ValidationError(f"setting {key!r} must be {what}, got {value!r}")
+                # an integer becomes the float that its flag would give
+                config[key.replace("-", "_")] = float(value) if isinstance(value, int) else value
     except FileNotFoundError as exc:
         raise ValidationError(f"config file not found: {path}") from exc
     return config
-
-
-def _setting(args, config, key, default):
-    """A flag's value, else the config's: a JSON number (not a boolean), or a string for out."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key.replace("_", "-"), config.get(key, default))
-    kinds, what = ((str,), "a string") if key == "out" else ((int, float), "a number")
-    if value is not default and (isinstance(value, bool) or not isinstance(value, kinds)):
-        raise ValidationError(f"setting {key!r} must be {what}, got {value!r}")
-    return value
-
-
-def _resolve(args, config, from_dict, name: str):
-    """A descriptor from the --<name> file, or inline or as a file name in the config."""
-    if getattr(args, name, None):
-        return _load(getattr(args, name), from_dict, name)
-    descriptor = config.get(name)
-    if isinstance(descriptor, dict):
-        return from_dict(descriptor)
-    if isinstance(descriptor, str):
-        return _load(descriptor, from_dict, name)
-    raise ValidationError(f"no {name} given (flag --{name} or config key '{name}')")
-
-
-def _resolve_path(args, config, attr="path", key="path", label="") -> WPath:
-    text = getattr(args, attr, None) or config.get(key)
-    if not isinstance(text, str):
-        raise ValidationError(f"no path given (flag --{key} or config key {key!r})")
-    return _parse_path(text, label=label)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,30 +191,31 @@ class _Parser(argparse.ArgumentParser):
         return 1
 
 
-def _build_parser() -> _Parser:
+def _build_parser(config: dict | None = None) -> _Parser:
+    """The parser, with the settings of :func:`_load_config` as its defaults."""
     parser = _Parser(prog="poletrace", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="flat key = JSON-value settings file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, out="."):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", help="output directory (default '.')")
+        p.add_argument("--out", default=out, help=f"output directory (default {out!r})")
         return p
 
-    p = add("branch-points", "print the branch points 1/2 +- i sqrt(c) of a model")
+    p = add("branch-points", "print the branch points 1/2 +- i sqrt(c) of a model", out=None)
     p.add_argument("--model")
 
     p = add("trace", "track the integrand pole along a w-path")
     p.add_argument("--model")
     p.add_argument("--path", help="waypoints 're,im;re,im;...'")
-    p.add_argument("--step", type=float)
+    p.add_argument("--step", type=float, default=PATH_STEP)
 
     p = add("continue", "continue the spectral integral along a w-path")
     p.add_argument("--model")
     p.add_argument("--numerator")
     p.add_argument("--path")
-    p.add_argument("--T", type=float)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--T", type=float, default=40.0)
+    p.add_argument("--tol", type=float, default=1e-11)
 
     p = add("diff", "difference of continuations along two paths")
     p.add_argument("--model")
@@ -221,7 +223,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--path", help="outside path")
     p.add_argument("--path2", help="inside path")
     p.add_argument("--w-end", dest="w_end")
-    p.add_argument("--T", type=float, help="height of the numerator's symmetry probe")
+    p.add_argument("--T", type=float, default=40.0,
+                   help="height of the numerator's symmetry probe")
 
     p = add("verify", "run acceptance criterion suites")
     p.add_argument("--suite", default="all", help=f"one of {', '.join(sorted(SUITES))}")
@@ -230,7 +233,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t-norm", dest="t_norm", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--sigma-range", dest="sigma_range", default="-3,3")
-    p.add_argument("--step", type=float)
+    p.add_argument("--step", type=float, default=0.01)
 
     p = add("eval-eisenstein", "point evaluation of the Eisenstein series (debugging)")
     p.add_argument("--s", required=True, help="spectral parameter 're,im'")
@@ -240,27 +243,27 @@ def _build_parser() -> _Parser:
     p.add_argument("--completed", action="store_true",
                    help="evaluate the completed series xi(2s) E(s, z)")
 
+    # last, since a default= given after set_defaults would override it
+    for p in sub.choices.values():
+        p.set_defaults(**(config or {}))
     return parser
 
 
-def _cmd_branch_points(args, config) -> int:
-    model = _resolve(args, config, SpectralModel.from_dict, "model")
-    out = _setting(args, config, "out", None)
+def _cmd_branch_points(args) -> int:
+    model = _load(args.model, SpectralModel.from_dict, "model")
     hi, lo = branch_points(model)
     print(f"{_fmt_float(hi.real)} +- {_fmt_float(hi.imag)}i")
-    if out:
+    if args.out:
         payload = {"model": model.as_dict(),
                    "branch_points": [[hi.real, hi.imag], [lo.real, lo.imag]]}
-        _write_atomic(Path(out) / "branch_points.json", _dump_json(payload) + "\n")
+        _write_atomic(Path(args.out) / "branch_points.json", _dump_json(payload) + "\n")
     return 0
 
 
-def _cmd_trace(args, config) -> int:
-    model = _resolve(args, config, SpectralModel.from_dict, "model")
-    path = _resolve_path(args, config)
-    step = float(_setting(args, config, "step", PATH_STEP))
-    trace = continue_pole(model, path, step=step)
-    out = Path(_setting(args, config, "out", "."))
+def _cmd_trace(args) -> int:
+    model = _load(args.model, SpectralModel.from_dict, "model")
+    trace = continue_pole(model, _parse_path(args.path), step=args.step)
+    out = Path(args.out)
     s_samples = 0.5 + trace.sqrt_samples.samples
     payload = {
         "cut_crossings": trace.cut_crossings,
@@ -276,38 +279,32 @@ def _cmd_trace(args, config) -> int:
     return 0
 
 
-def _cmd_continue(args, config) -> int:
-    model = _resolve(args, config, SpectralModel.from_dict, "model")
-    numerator = _resolve(args, config, Numerator.from_dict, "numerator")
-    path = _resolve_path(args, config)
-    T = float(_setting(args, config, "T", 40.0))
-    tol = float(_setting(args, config, "tol", 1e-11))
-    result = continue_integral(numerator, model, path, T=T, tol=tol)
-    out = Path(_setting(args, config, "out", "."))
-    _write_atomic(out / "continuation.json", _dump_json(result.as_dict()) + "\n")
+def _cmd_continue(args) -> int:
+    model = _load(args.model, SpectralModel.from_dict, "model")
+    numerator = _load(args.numerator, Numerator.from_dict, "numerator")
+    path = _parse_path(args.path)
+    result = continue_integral(numerator, model, path, T=args.T, tol=args.tol)
+    _write_atomic(Path(args.out) / "continuation.json", _dump_json(result.as_dict()) + "\n")
     print(f"endpoint {result.endpoint_value:.12g}, corrections {len(result.corrections)}")
     return 0
 
 
-def _cmd_diff(args, config) -> int:
-    model = _resolve(args, config, SpectralModel.from_dict, "model")
-    numerator = _resolve(args, config, Numerator.from_dict, "numerator")
-    path1 = _resolve_path(args, config, label="outside")
-    path2 = _resolve_path(args, config, attr="path2", key="path2", label="inside")
-    w_end_text = args.w_end or config.get("w-end", config.get("w_end"))
-    if not isinstance(w_end_text, str):
+def _cmd_diff(args) -> int:
+    model = _load(args.model, SpectralModel.from_dict, "model")
+    numerator = _load(args.numerator, Numerator.from_dict, "numerator")
+    path1 = _parse_path(args.path, label="outside")
+    path2 = _parse_path(args.path2, "path2", label="inside")
+    if args.w_end is None:
         raise ValidationError("no endpoint given (flag --w-end or config key 'w-end')")
-    w_end = _parse_complex(w_end_text, "w-end")
-    T = float(_setting(args, config, "T", 40.0))
-    difference, term = branching_difference(numerator, model, w_end, path1, path2, T=T)
+    w_end = _parse_complex(args.w_end, "w-end")
+    difference, term = branching_difference(numerator, model, w_end, path1, path2, T=args.T)
     payload = {"difference": [difference.real, difference.imag], "closed_form": term.as_dict()}
-    out = Path(_setting(args, config, "out", "."))
-    _write_atomic(out / "diff.json", _dump_json(payload) + "\n")
+    _write_atomic(Path(args.out) / "diff.json", _dump_json(payload) + "\n")
     print(f"difference {difference:.12g} at s* {term.s_star:.12g}")
     return 0
 
 
-def _cmd_verify(args, config) -> int:
+def _cmd_verify(args) -> int:
     suite = args.suite
     if suite not in SUITES:
         print(f"error: unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}",
@@ -321,15 +318,14 @@ def _cmd_verify(args, config) -> int:
     return 0 if not failed else 2
 
 
-def _cmd_curve(args, config) -> int:
+def _cmd_curve(args) -> int:
     lo_s, _, hi_s = args.sigma_range.partition(",")
     try:
         sigma_range = (float(lo_s), float(hi_s))
     except ValueError as exc:
         raise ValidationError(f"bad sigma range {args.sigma_range!r}") from exc
-    step = float(_setting(args, config, "step", 0.01))
-    samples, parabola = radicand_curve(args.t_norm, args.alpha, sigma_range, step)
-    out = Path(_setting(args, config, "out", "."))
+    samples, parabola = radicand_curve(args.t_norm, args.alpha, sigma_range, args.step)
+    out = Path(args.out)
     stem = f"curve_t{args.t_norm:g}_a{args.alpha:g}"
     _write_csv(out / f"{stem}.csv", samples.samples)
     _write_svg(out / f"{stem}.svg", samples.samples)
@@ -339,7 +335,7 @@ def _cmd_curve(args, config) -> int:
     return 0
 
 
-def _cmd_eval_eisenstein(args, config) -> int:
+def _cmd_eval_eisenstein(args) -> int:
     if args.completed and args.mode == "lattice_sum":
         raise ValidationError("--completed evaluates the Fourier expansion, not --mode lattice_sum")
     s = _parse_complex(args.s, "s")
@@ -365,11 +361,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _load_config(args.config)
-        return _COMMANDS[args.command](args, config)
+        args = _build_parser().parse_args(argv)
+        if args.config is not None:
+            args = _build_parser(_load_config(args.config)).parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except ValidationError as exc:

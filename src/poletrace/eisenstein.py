@@ -474,11 +474,11 @@ def _fourier_pieces(s: np.ndarray, z: UpperHalfPoint, n_terms: int):
     return pieces
 
 
-def _completed(s: np.ndarray, z: UpperHalfPoint, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """xi(2s) y^s + C1 xi(2s-1) y^(1-s) + C2 sqrt(y) * Bessel sum, and xi(2s), per s."""
+def _completed(s: np.ndarray, z: UpperHalfPoint, n_terms: int) -> np.ndarray:
+    """xi(2s) y^s + C1 xi(2s-1) y^(1-s) + C2 sqrt(y) * Bessel sum, per s."""
     c1, c2 = FOURIER_CONSTANTS
     xi_2s, xi_2s1, acc = _fourier_pieces(s, z, n_terms)
-    return xi_2s * z.y**s + c1 * xi_2s1 * z.y ** (1.0 - s) + c2 * np.sqrt(z.y) * acc, xi_2s
+    return xi_2s * z.y**s + c1 * xi_2s1 * z.y ** (1.0 - s) + c2 * np.sqrt(z.y) * acc
 
 
 _CENTER_ZONE = 1e-3
@@ -499,16 +499,12 @@ def eisenstein_gl2(params: EisensteinParams, z: UpperHalfPoint) -> complex:
     Inside xi's pole window |2s - 1| < 1e-12, E = E*(s, z) (2s - 1): xi has
     residue 1 at 1, so 1/xi(2s) = (2s - 1)(1 + O(2s - 1)), and E(1/2, z) = 0.
     Inside the window |2s| < 1e-12 about xi's other pole, E(0, z) = 1.
-    Outside the centre zone, E* and xi(2s) come from one pass.
     """
     if params.mode == "lattice_sum":
         return _lattice_sum(params.s, z)
     s = complex(params.s)
     if abs(2.0 * s) < 1e-12:
         return 1.0 + 0.0j
-    if abs(s - 0.5) >= _CENTER_ZONE:
-        completed, xi_2s = _completed(np.array([s]), z, params.n_terms)
-        return complex(completed[0]) / complex(xi_2s[0])
     completed = eisenstein_gl2_completed(s, z, params.n_terms)
     if abs(2.0 * s - 1.0) < 1e-12:
         return completed * (2.0 * s - 1.0) + 0.0  # + 0.0 turns -0.0 into +0.0
@@ -529,8 +525,8 @@ def eisenstein_gl2_completed(s, z: UpperHalfPoint, n_terms: int = 30):
     sv, shape = _as_array(s, complex)
     near = np.abs(sv - 0.5) < _CENTER_ZONE
     if not np.any(near):
-        return _unwrap(_completed(sv, z, n_terms)[0], shape)
-    values, _ = _completed(np.concatenate([sv[~near], 0.5 + _RING]), z, n_terms)
+        return _unwrap(_completed(sv, z, n_terms), shape)
+    values = _completed(np.concatenate([sv[~near], 0.5 + _RING]), z, n_terms)
     out = np.empty(sv.shape, dtype=complex)
     out[~near] = values[:-_RING.size]
     coeffs = _center_coefficients(values[-_RING.size:])

@@ -133,6 +133,9 @@ class SpectralModel:
     def from_dict(cls, d: dict) -> "SpectralModel":
         try:
             kind = ModelKind(d["kind"])
+            own = {ModelKind.GL2Q: (), ModelKind.HILBERT_MAASS: ("t",),
+                   ModelKind.GL3_CUSPIDAL: ("t_f",)}[kind]
+            _known_fields(d, "model", ("kind", *own, "a", "c", "nu"))
             if kind is ModelKind.GL2Q:
                 model = cls.gl2q()
             elif kind is ModelKind.HILBERT_MAASS:
@@ -159,6 +162,15 @@ class SpectralModel:
 
 def _is_json_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _known_fields(d: dict, what: str, fields: tuple) -> None:
+    """Refuse the first descriptor field that its kind does not read."""
+    unknown = [key for key in d if key not in fields]
+    if unknown:
+        raise ValidationError(
+            f"bad {what} descriptor: unknown field {unknown[0]!r} for kind {d['kind']!r}"
+        )
 
 
 def _json_real(value, what: str, name: str):

@@ -7,7 +7,8 @@ exactly and the product decays exponentially on the line).  A constant is
 admissible for both pole orders: its integrand decays like |Im s|^(-2 nu), so
 the full-line integral converges, and ``continue`` adds its part beyond the
 truncation height T in closed form.  Non-finite fields are refused, and so
-are descriptor fields of the wrong JSON type.
+are descriptor fields of the wrong JSON type and fields the kind does not
+read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .eisenstein import UpperHalfPoint, eisenstein_gl2_completed
 from .errors import ValidationError
-from .models import _is_json_number, _json_complex, _json_real, _json_reals
+from .models import _is_json_number, _json_complex, _json_real, _json_reals, _known_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,9 +86,13 @@ class Numerator:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Numerator":
-        """A numerator from its JSON descriptor; every number field takes a JSON number."""
+        """A numerator from its JSON descriptor: number fields take JSON numbers, no unknown field."""
         try:
             kind = d["kind"]
+            if kind in cls._KINDS:
+                own = {"constant": ("value",), "gaussian": ("width",),
+                       "eisenstein_product": ("z0", "z", "n_terms")}[kind]
+                _known_fields(d, "numerator", ("kind", "scale", *own))
             scale = _json_complex(d.get("scale", 1.0), "numerator", "scale")
             if kind == "constant":
                 return cls.constant(_json_complex(d.get("value", 1.0), "numerator", "value"), scale)

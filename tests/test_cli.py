@@ -451,6 +451,180 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
 
+GL3 = {"kind": "GL3Cuspidal", "t_f": [2.0, 0.0]}
+INSIDE_LOW = "1.2,0;1.2,0.3;0.25,0.3;0.25,2.5"
+#: every flag of a command, with a value under which it runs
+FLAGS = {
+    "branch-points": {"--model": "MODEL"},
+    "trace": {"--model": "MODEL", "--path": OUTSIDE, "--step": "0.02"},
+    "continue": {"--model": "MODEL", "--numerator": "NUMERATOR", "--path": OUTSIDE,
+                 "--T": "40", "--tol": "1e-11"},
+    "diff": {"--model": "MODEL", "--numerator": "NUMERATOR", "--path": OUTSIDE,
+             "--path2": INSIDE, "--w-end": "0.25,2.5", "--T": "40"},
+    "curve": {"--t-norm": "1", "--alpha": "2", "--step": "0.02"},
+}
+
+
+class TestConfigDefaults:
+    """A config value acts as its flag would, and the flag beats it."""
+
+    @pytest.fixture
+    def run(self, model_file, numerator_file, tmp_path, capsys):
+        runs = iter(range(100))
+
+        def run(command, flags, config=None):
+            """(exit code, stdout, stderr, {file name: bytes}) of one fresh run."""
+            out = tmp_path / f"run{next(runs)}"
+            files = {"MODEL": model_file, "NUMERATOR": numerator_file}
+            argv = [command]
+            for flag, value in flags.items():
+                argv += [flag, files.get(value, value)]
+            if config is not None:
+                cfg = out.with_suffix(".cfg")
+                cfg.write_text(config)
+                argv = ["--config", str(cfg), *argv]
+            code = main(argv + ["--out", str(out)])
+            captured = capsys.readouterr()
+            written = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+            return code, captured.out, captured.err, written
+
+        return run
+
+    @pytest.mark.parametrize(
+        "command, key, supplied, overriding",
+        [
+            ("branch-points", "model", {"kind": "GL2Q"}, GL3),
+            ("continue", "model", {"kind": "HilbertMaass", "t": [1.5, -1.5]}, GL3),
+            ("continue", "numerator", {"kind": "gaussian", "width": 1.5},
+             {"kind": "constant", "value": 2.0}),
+            ("trace", "path", INSIDE, OUTSIDE),
+            ("diff", "path", OUTSIDE, INSIDE),
+            ("diff", "path2", INSIDE_LOW, OUTSIDE),
+            ("diff", "w-end", "0.25,2.5", "0.3,2.5"),
+            ("diff", "w_end", "0.25,2.5", "0.3,2.5"),
+            ("continue", "T", 30.0, 1.0),
+            ("diff", "T", 30.0, -1.0),
+            ("continue", "tol", 1e-9, 1e-10),
+            ("trace", "step", 0.05, 0.03),
+            ("curve", "step", 0.05, 0.03),
+        ],
+    )
+    def test_config_value_acts_as_its_flag(self, run, tmp_path, command, key, supplied,
+                                           overriding):
+        def flag_value(value, name):
+            if not isinstance(value, dict):
+                return str(value)
+            descriptor = tmp_path / f"{name}.json"
+            descriptor.write_text(json.dumps(value))
+            return str(descriptor)
+
+        flag = "--" + key.replace("_", "-")
+        others = {f: v for f, v in FLAGS[command].items() if f != flag}
+        config = f"{key} = {json.dumps(supplied)}\n"
+        by_flag = run(command, {**others, flag: flag_value(supplied, "supplied")})
+        assert run(command, others, config) == by_flag
+        overridden = run(command, {**others, flag: flag_value(overriding, "overriding")})
+        assert overridden != by_flag
+        assert run(command, {**others, flag: flag_value(overriding, "again")}, config) == overridden
+
+    def test_config_names_a_descriptor_file(self, run, model_file):
+        by_flag = run("trace", FLAGS["trace"])
+        flags = {f: v for f, v in FLAGS["trace"].items() if f != "--model"}
+        assert run("trace", flags, f"model = {json.dumps(model_file)}\n") == by_flag
+        assert by_flag[0] == 0
+
+    def test_config_out_and_flag_out(self, model_file, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f'out = "{tmp_path}/by_config"\n')
+        argv = ["--config", str(config), "branch-points", "--model", model_file]
+        assert main(argv) == 0
+        assert (tmp_path / "by_config" / "branch_points.json").exists()
+        assert main(argv + ["--out", str(tmp_path / "by_flag")]) == 0
+        assert (tmp_path / "by_flag" / "branch_points.json").exists()
+        assert len(list((tmp_path / "by_config").iterdir())) == 1
+
+    def test_branch_points_writes_nothing_without_out(self, model_file, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["branch-points", "--model", model_file]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    def test_shared_file_serves_trace_and_continue(self, run):
+        # trace reads model, path and out; T, tol, numerator, path2 and w-end are
+        # there for the other commands and are accepted unread
+        config = "\n".join([
+            "# one file for trace, continue and diff",
+            'model = {"kind": "HilbertMaass", "t": [1.0, -1.0]}',
+            'numerator = {"kind": "gaussian", "width": 1.0}',
+            f'path = "{OUTSIDE}"',
+            f'path2 = "{INSIDE}"',
+            'w-end = "0.25,2.5"',
+            "",
+            "T = 35",
+            "tol = 1e-10",
+        ]) + "\n"
+        trace = run("trace", {}, config)
+        assert trace[0] == 0
+        assert trace == run("trace", {"--model": "MODEL", "--path": OUTSIDE})
+        continued = run("continue", {}, config)
+        assert continued[0] == 0
+        assert continued == run("continue", {"--model": "MODEL", "--numerator": "NUMERATOR",
+                                             "--path": OUTSIDE, "--T": "35", "--tol": "1e-10"})
+        assert run("diff", {}, config)[0] == 0
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["tolerance = 1e-6"], "unknown config key 'tolerance'"),
+            (["model_file = \"m.json\""], "unknown config key 'model_file'"),
+            (["T = 40", "# comment", "tol 1e-9"], "config line 3 is not 'key = value': 'tol 1e-9'"),
+            (["[settings]"], "config line 1 is not 'key = value': '[settings]'"),
+            (["model = 3"], "setting 'model' must be an object or a file name, got 3"),
+            (["w-end = [0.25, 2.5]"], "setting 'w-end' must be a string, got [0.25, 2.5]"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["trace", "continue", "curve"])
+    def test_unknown_key_and_malformed_line_are_refused(self, run, command, lines, message):
+        code, out, err, written = run(command, FLAGS[command], "\n".join(lines) + "\n")
+        assert (code, out, err, written) == (1, "", f"error: {message}\n", {})
+
+    @pytest.mark.parametrize(
+        "which, descriptor, message",
+        [
+            ("numerator", {"kind": "gaussian", "widht": 3.0}, "unknown field 'widht'"),
+            ("model", {"kind": "GL2Q", "t": [1, -1]}, "unknown field 't'"),
+            ("model", {"kind": "HilbertMaass", "t": [1, -1], "t_f": 5}, "unknown field 't_f'"),
+            ("numerator", {"kind": "constant", "width": 2.0}, "unknown field 'width'"),
+        ],
+    )
+    @pytest.mark.parametrize("inline", [False, True], ids=["file", "inline"])
+    def test_unknown_descriptor_field_is_refused(self, run, tmp_path, which, descriptor,
+                                                 message, inline):
+        flags = {f: v for f, v in FLAGS["continue"].items() if f != f"--{which}"}
+        if inline:
+            result = run("continue", flags, f"{which} = {json.dumps(descriptor)}\n")
+        else:
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(descriptor))
+            result = run("continue", {**flags, f"--{which}": str(bad)})
+        code, out, err, written = result
+        assert (code, out, written) == (1, "", {})
+        assert err.startswith(f"error: bad {which} descriptor: {message} for kind ")
+
+    def test_branch_points_file_reads_back(self, tmp_path, capsys):
+        # the model object that branch-points writes, a, c and nu included, is a descriptor
+        gl3 = tmp_path / "gl3.json"
+        gl3.write_text(json.dumps(GL3))
+        assert main(["branch-points", "--model", str(gl3), "--out", str(tmp_path)]) == 0
+        written = json.loads((tmp_path / "branch_points.json").read_text())["model"]
+        assert set(written) == {"kind", "t_f", "a", "c", "nu"}
+        config = tmp_path / "again.cfg"
+        config.write_text(f"model = {json.dumps(written)}\n")
+        first = capsys.readouterr().out
+        assert main(["--config", str(config), "branch-points"]) == 0
+        assert capsys.readouterr().out == first
+
+
 class TestEvalEisenstein:
     def test_point_evaluation(self, capsys):
         code = main(["eval-eisenstein", "--s", "3,0", "--z", "0,1", "--mode", "lattice_sum"])

@@ -284,15 +284,6 @@ class TestEisenstein:
             want = mp_oracle.eisenstein(s, z.x, z.y, 30, dps=40)
             assert abs(got - want) <= 1e-9 * abs(want), s
 
-    def test_one_xi_call_per_evaluation(self, monkeypatch):
-        # outside the centre zone E divides by the xi(2s) of the Fourier pass
-        calls = []
-        monkeypatch.setattr(eisenstein, "xi", lambda u: calls.append(u) or xi(u))
-        for s in (2.0, 0.5 + 3.1j, 0.3):
-            calls.clear()
-            eisenstein_gl2(EisensteinParams(s), UpperHalfPoint(0.3, 1.2))
-            assert len(calls) == 1, s
-
     def test_values_equal_division_by_a_separate_xi(self):
         # the criterion 9 points: bit for bit E* / xi(2s) with xi called on its own
         for s in (2.0, 2.5, 3.0, 2.0 + 1j, 2.5 + 1j, 3.0 + 1j):
