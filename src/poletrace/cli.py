@@ -183,12 +183,8 @@ def _load_config(path: str) -> dict:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; we reserve 2 for numerics
         self.print_usage(sys.stderr)
-        raise SystemExit(self._exit_with(message))
-
-    @staticmethod
-    def _exit_with(message) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _build_parser(config: dict | None = None) -> _Parser:
@@ -197,27 +193,29 @@ def _build_parser(config: dict | None = None) -> _Parser:
     parser.add_argument("--config", help="flat key = JSON-value settings file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, out="."):
+    def add(name, run, help_text, out="."):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default=out, help=f"output directory (default {out!r})")
+        p.set_defaults(run=run)
         return p
 
-    p = add("branch-points", "print the branch points 1/2 +- i sqrt(c) of a model", out=None)
+    p = add("branch-points", _cmd_branch_points,
+            "print the branch points 1/2 +- i sqrt(c) of a model", out=None)
     p.add_argument("--model")
 
-    p = add("trace", "track the integrand pole along a w-path")
+    p = add("trace", _cmd_trace, "track the integrand pole along a w-path")
     p.add_argument("--model")
     p.add_argument("--path", help="waypoints 're,im;re,im;...'")
     p.add_argument("--step", type=float, default=PATH_STEP)
 
-    p = add("continue", "continue the spectral integral along a w-path")
+    p = add("continue", _cmd_continue, "continue the spectral integral along a w-path")
     p.add_argument("--model")
     p.add_argument("--numerator")
     p.add_argument("--path")
     p.add_argument("--T", type=float, default=40.0)
     p.add_argument("--tol", type=float, default=1e-11)
 
-    p = add("diff", "difference of continuations along two paths")
+    p = add("diff", _cmd_diff, "difference of continuations along two paths")
     p.add_argument("--model")
     p.add_argument("--numerator")
     p.add_argument("--path", help="outside path")
@@ -226,16 +224,17 @@ def _build_parser(config: dict | None = None) -> _Parser:
     p.add_argument("--T", type=float, default=40.0,
                    help="height of the numerator's symmetry probe")
 
-    p = add("verify", "run acceptance criterion suites")
+    p = add("verify", _cmd_verify, "run acceptance criterion suites")
     p.add_argument("--suite", default="all", help=f"one of {', '.join(sorted(SUITES))}")
 
-    p = add("curve", "radicand parabola samples as CSV + SVG")
+    p = add("curve", _cmd_curve, "radicand parabola samples as CSV + SVG")
     p.add_argument("--t-norm", dest="t_norm", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--sigma-range", dest="sigma_range", default="-3,3")
     p.add_argument("--step", type=float, default=0.01)
 
-    p = add("eval-eisenstein", "point evaluation of the Eisenstein series (debugging)")
+    p = add("eval-eisenstein", _cmd_eval_eisenstein,
+            "point evaluation of the Eisenstein series (debugging)")
     p.add_argument("--s", required=True, help="spectral parameter 're,im'")
     p.add_argument("--z", required=True, help="upper half-plane point 'x,y'")
     p.add_argument("--mode", default="fourier", choices=("fourier", "lattice_sum"))
@@ -349,28 +348,14 @@ def _cmd_eval_eisenstein(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "branch-points": _cmd_branch_points,
-    "trace": _cmd_trace,
-    "continue": _cmd_continue,
-    "diff": _cmd_diff,
-    "verify": _cmd_verify,
-    "curve": _cmd_curve,
-    "eval-eisenstein": _cmd_eval_eisenstein,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.config is not None:
             args = _build_parser(_load_config(args.config)).parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -166,11 +166,11 @@ def _is_json_number(value) -> bool:
 
 def _known_fields(d: dict, what: str, fields: tuple) -> None:
     """Refuse the first descriptor field that its kind does not read."""
-    unknown = [key for key in d if key not in fields]
-    if unknown:
-        raise ValidationError(
-            f"bad {what} descriptor: unknown field {unknown[0]!r} for kind {d['kind']!r}"
-        )
+    for key in d:
+        if key not in fields:
+            raise ValidationError(
+                f"bad {what} descriptor: unknown field {key!r} for kind {d['kind']!r}"
+            )
 
 
 def _json_real(value, what: str, name: str):

@@ -86,7 +86,7 @@ class Numerator:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Numerator":
-        """A numerator from its JSON descriptor: number fields take JSON numbers, no unknown field."""
+        """A numerator from its JSON descriptor; refuses wrong JSON types and unknown fields."""
         try:
             kind = d["kind"]
             if kind in cls._KINDS:
