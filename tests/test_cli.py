@@ -533,21 +533,19 @@ class TestConfigDefaults:
         assert run("trace", flags, f"model = {json.dumps(model_file)}\n") == by_flag
         assert by_flag[0] == 0
 
-    def test_config_out_and_flag_out(self, model_file, tmp_path, capsys):
+    def test_branch_points_writes_where_out_says(self, model_file, tmp_path, capsys,
+                                                 monkeypatch):
+        # no out, no file; the config's out makes it write, and the flag's wins
+        monkeypatch.chdir(tmp_path)
+        argv = ["branch-points", "--model", model_file]
+        assert main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
         config = tmp_path / "run.cfg"
         config.write_text(f'out = "{tmp_path}/by_config"\n')
-        argv = ["--config", str(config), "branch-points", "--model", model_file]
-        assert main(argv) == 0
-        assert (tmp_path / "by_config" / "branch_points.json").exists()
-        assert main(argv + ["--out", str(tmp_path / "by_flag")]) == 0
-        assert (tmp_path / "by_flag" / "branch_points.json").exists()
-        assert len(list((tmp_path / "by_config").iterdir())) == 1
-
-    def test_branch_points_writes_nothing_without_out(self, model_file, tmp_path, capsys,
-                                                      monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["branch-points", "--model", model_file]) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+        assert main(["--config", str(config), *argv]) == 0
+        assert main(["--config", str(config), *argv, "--out", str(tmp_path / "by_flag")]) == 0
+        for out in ("by_config", "by_flag"):
+            assert [p.name for p in (tmp_path / out).iterdir()] == ["branch_points.json"]
 
     def test_shared_file_serves_trace_and_continue(self, run):
         # trace reads model, path and out; T, tol, numerator, path2 and w-end are
