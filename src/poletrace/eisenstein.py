@@ -499,6 +499,7 @@ def eisenstein_gl2(params: EisensteinParams, z: UpperHalfPoint) -> complex:
     Inside xi's pole window |2s - 1| < 1e-12, E = E*(s, z) (2s - 1): xi has
     residue 1 at 1, so 1/xi(2s) = (2s - 1)(1 + O(2s - 1)), and E(1/2, z) = 0.
     Inside the window |2s| < 1e-12 about xi's other pole, E(0, z) = 1.
+    Elsewhere E = E*(s, z) / xi(2s).
     """
     if params.mode == "lattice_sum":
         return _lattice_sum(params.s, z)
