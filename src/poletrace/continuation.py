@@ -36,6 +36,7 @@ change, whose reference writes out the same nu = 2 formula.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -113,12 +114,20 @@ def correction_coefficient(model: SpectralModel, s_star: complex) -> complex:
 
 
 def _correction_term(numerator: Callable, model: SpectralModel, s_star: complex) -> CorrectionTerm:
-    return CorrectionTerm(
+    """The correction term at the continued pole s*; NumericalError when it is not finite."""
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        value = complex(numerator(s_star))
+    term = CorrectionTerm(
         s_star=s_star,
         nu=model.nu,
         coefficient=correction_coefficient(model, s_star),
-        numerator_value=complex(numerator(s_star)),
+        numerator_value=value,
     )
+    if not cmath.isfinite(term.term_value):
+        raise NumericalError(
+            f"the correction term at s* = {s_star:.12g} is not finite: N(s*) = {value:.6g}"
+        )
+    return term
 
 
 def continue_pole(model: SpectralModel, path: WPath, step: float = PATH_STEP) -> BranchTrace:
@@ -147,9 +156,9 @@ def _require_settings(**settings: float) -> None:
             raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 
-def _require_poles_off_line(model: SpectralModel, w_end: complex) -> None:
-    """The poles 1/2 +- sqrt(q) at the path end must keep clear of the line."""
-    root = np.sqrt(complex(radicand(model, w_end)))
+def _require_poles_off_line(trace: BranchSign, w_end: complex) -> None:
+    """The poles 1/2 +- sqrt(q) at the path end, read off ``trace``, must keep clear of the line."""
+    root = trace.final_sign * (trace.end_pole - 0.5)
     if abs(root.real) <= ENDPOINT_MARGIN:
         raise PoleOnContourError(
             f"poles 1/2 +- ({root:.6g}) at endpoint {w_end} lie within "
@@ -193,12 +202,13 @@ def continue_integral(
     (:func:`quadrature.singular_line_tail`).  A Gaussian numerator's part is
     bounded in closed form, and NumericalError is raised when the bound
     exceeds tol * max(1, |value|).  The Eisenstein numerator gets neither.
+    A correction term that is not finite raises NumericalError too.
     """
     _require_settings(T=T, tol=tol)
     w_end = path.end
-    _require_poles_off_line(model, w_end)
-    check_line_symmetry(numerator, T)
     trace = branch_sign(model, path)
+    _require_poles_off_line(trace, w_end)
+    check_line_symmetry(numerator, T)
     endpoint_value, err = direct_line_integral(numerator, model, w_end, T=T, tol=tol)
     if isinstance(numerator, Numerator) and numerator.kind == "constant":
         tail = numerator.value * numerator.scale * singular_line_tail(model, w_end, T)
@@ -238,16 +248,18 @@ def branching_difference(
     difference, so none is computed: the difference is the correction term
     at ``path1``'s continued pole s*, from the branch rule.  Returns its
     value and the term itself; the numerator is evaluated once outside the
-    symmetry probe, at s*.  The symmetry is probed on |Im s| <= T, as for
-    :func:`continue_integral`.
+    symmetry probe, at s*, and a term that is not finite raises
+    NumericalError.  The symmetry is probed on |Im s| <= T, as for
+    :func:`continue_integral` (constant and Gaussian numerators are exact
+    there and are not evaluated, see :func:`quadrature.check_line_symmetry`).
     """
     _require_settings(T=T)
     w_end = complex(w_end)
     for path in (path1, path2):
         if path.end != w_end:
             raise InvalidPathPairError(f"path {path.label!r} does not end at w_end = {w_end}")
-    _require_poles_off_line(model, w_end)
     outside, inside = branch_sign(model, path1), branch_sign(model, path2)
+    _require_poles_off_line(outside, w_end)
     if outside.final_sign != -1 or inside.final_sign != +1:
         raise InvalidPathPairError(
             f"path {path1.label!r} must flip the tracked branch and path {path2.label!r} "

@@ -251,7 +251,11 @@ def branch_sign(model, path: WPath) -> BranchSign:
     The guards, which ``continuation.continue_pole`` shares: the path must
     start right of the critical line, and |q| = |w - b+| |w - b-| must exceed
     :data:`COLLISION_TOL` at each segment's closest approach to each branch
-    point b+- = 1/2 +- i sqrt(c).
+    point b+- = 1/2 +- i sqrt(c).  Both branch points lie on the line, so
+    |q| >= (Re w - 1/2)^2: a segment that stays on one side of the line, with
+    both ends farther from it than sqrt(COLLISION_TOL), cannot trip the
+    guard, and only a segment that comes nearer is checked.  The filter uses
+    twice the tolerance, which leaves room for the guard's own rounding.
     """
     if path.start.real <= 0.5:
         raise StartInLeftHalfPlaneError(
@@ -261,15 +265,17 @@ def branch_sign(model, path: WPath) -> BranchSign:
     branch = branch_points(model)
     crossings = 0
     for a, b in zip(path.points[:-1], path.points[1:]):
-        d = b - a
-        length = abs(d)
-        for bp in branch:
-            t = min(1.0, max(0.0, ((bp - a) * (d / length).conjugate()).real / length))
-            w = a + t * d
-            if abs(w - branch[0]) * abs(w - branch[1]) <= COLLISION_TOL:
-                raise BranchPointCollisionError(
-                    f"path passes within {COLLISION_TOL:g} of the branch point {bp}"
-                )
+        ua, ub = a.real - 0.5, b.real - 0.5
+        if ua * ub <= 0.0 or min(abs(ua), abs(ub)) ** 2 <= 2.0 * COLLISION_TOL:
+            d = b - a
+            length = abs(d)
+            for bp in branch:
+                t = min(1.0, max(0.0, ((bp - a) * (d / length).conjugate()).real / length))
+                w = a + t * d
+                if abs(w - branch[0]) * abs(w - branch[1]) <= COLLISION_TOL:
+                    raise BranchPointCollisionError(
+                        f"path passes within {COLLISION_TOL:g} of the branch point {bp}"
+                    )
         crossings += _segment_crossing(a, b, c)
     final_sign = +1 if crossings % 2 == 0 else -1
     end_pole = 0.5 + final_sign * cmath.sqrt(radicand(model, path.end))

@@ -33,6 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .models import SpectralModel, denominator, eigenvalue, lambda_w, radicand
+from .numerators import Numerator
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (positive half; node 0 last).
 _XGK = np.array([
@@ -242,7 +243,16 @@ def check_line_symmetry(numerator: Callable, T: float) -> float:
     The numerator is called once, on all probe points; the heights are built
     once per T.  Raises when the asymmetry exceeds :data:`SYMMETRY_TOL` * max |N|,
     and NumericalError, naming the lowest such height, when N is not finite.
+
+    A ``Numerator`` of kind ``constant`` or ``gaussian`` is not called: it
+    returns 0.0 at once.  At the probe points s - 1/2 is exactly 0 +- i tau
+    (0.5 - 0.5 is 0.0), both kinds are functions of (s - 1/2)^2, so the two
+    values agree bit for bit and the asymmetry is 0.  Their one non-finite
+    case, a constant whose scale * value overflows, is refused where the
+    value is used: at the quadrature nodes and at the continued pole.
     """
+    if isinstance(numerator, Numerator) and numerator.kind in ("constant", "gaussian"):
+        return 0.0
     tau = _probe_heights(T)
     values = np.asarray(numerator(np.concatenate((0.5 + 1j * tau, 0.5 - 1j * tau))), dtype=complex)
     up, dn = values[: len(tau)], values[len(tau) :]

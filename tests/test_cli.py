@@ -161,6 +161,32 @@ class TestContinueAndDiff:
         assert captured.err == "error: numerator value must be finite, got (nan+0j)\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, numerator, value", [
+        ("continue", {"kind": "gaussian", "width": 0.002}, "nan+nanj"),
+        ("diff", {"kind": "gaussian", "width": 0.002}, "nan+nanj"),
+        ("diff", {"kind": "constant", "value": [3, -1], "scale": [1e308, 1e308]}, "inf+infj"),
+    ])
+    def test_numerator_overflow_at_s_star_is_a_numerical_failure(
+        self, tmp_path, capsys, command, numerator, value
+    ):
+        # exp((s* - 1/2)^2 / width^2) overflows at s* = 0.091 + 0.244i; so does
+        # scale * value for the constant, which the symmetry probe does not evaluate
+        model, numer, out = tmp_path / "model.json", tmp_path / "numerator.json", tmp_path / "out"
+        model.write_text(json.dumps({"kind": "HilbertMaass", "t": [0.1, -0.1]}))
+        numer.write_text(json.dumps(numerator))
+        args = [command, "--model", str(model), "--numerator", str(numer),
+                "--path", "1.2,0;1.2,0.3;0.1,0.3;0.1,0.25", "--out", str(out)]
+        if command == "diff":
+            args += ["--path2", "1.2,0;1.2,0.05;0.1,0.05;0.1,0.25", "--w-end", "0.1,0.25"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: the correction term at s* = 0.0910012138813+0.244499503162j "
+            f"is not finite: N(s*) = {value}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("T, code", [("1", 2), ("5", 0)])
     def test_gaussian_tail_beyond_T_is_bounded(
         self, model_file, numerator_file, tmp_path, capsys, T, code

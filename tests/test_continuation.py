@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -368,6 +369,20 @@ class TestContinueIntegral:
         path = WPath((1.2 + 0j, 0.52 + 2j))
         with pytest.raises(PoleOnContourError):
             continue_integral(Numerator.synthetic_gaussian(), model, path)
+
+    @pytest.mark.parametrize("w_end, height", [(0.52 + 2j, 0.5), (0.48 + 2j, 2.5)])
+    def test_endpoint_margin_names_the_principal_root(self, w_end, height):
+        # the margin is read off the branch's end pole, which is 1/2 - sqrt(q)
+        # on the flipping path; the message still shows the principal root
+        model = hilbert(1.0)
+        path = crossing_path(height, w_end)
+        root = np.sqrt(complex(radicand(model, w_end)))
+        message = re.escape(f"poles 1/2 +- ({root:.6g}) at endpoint {w_end} lie within 0.05 ")
+        with pytest.raises(PoleOnContourError, match=message):
+            continue_integral(Numerator.synthetic_gaussian(), model, path)
+        with pytest.raises(PoleOnContourError, match=message):
+            branching_difference(Numerator.synthetic_gaussian(), model, w_end,
+                                 crossing_path(2.5, w_end), crossing_path(0.5, w_end))
 
 
 class TestBranchingDifference:

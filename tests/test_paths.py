@@ -1,20 +1,29 @@
+import cmath
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from poletrace.errors import (
     BranchPointCollisionError,
     DegenerateParametrizationError,
     InvalidPathError,
+    PoletraceError,
+    StartInLeftHalfPlaneError,
     ValidationError,
 )
-from poletrace.models import GrossencharParams, SpectralModel, radicand
+from poletrace.models import GrossencharParams, SpectralModel, branch_points, radicand
 from poletrace.paths import (
+    COLLISION_TOL,
     MAX_PATH_SAMPLES,
+    BranchSign,
     CurveSamples,
     WPath,
+    _segment_crossing,
     branch_sign,
     radicand_curve,
     sample_path,
@@ -227,3 +236,85 @@ class TestCrossesOrigin:
                 samples, _ = radicand_curve(t_norm, alpha, (-span, span), 0.02)
                 trace = track_sqrt(samples)
                 assert _flips(t_norm, alpha) == (trace.cut_crossings % 2 != 0)
+
+
+def _unfiltered_branch_sign(model, path):
+    """branch_sign with the collision guard run on every segment: the reference for the filter."""
+    if path.start.real <= 0.5:
+        raise StartInLeftHalfPlaneError(
+            f"continuation must start right of the critical line, got {path.start}"
+        )
+    c = float(model.c)
+    branch = branch_points(model)
+    crossings = 0
+    for a, b in zip(path.points[:-1], path.points[1:]):
+        d = b - a
+        length = abs(d)
+        for bp in branch:
+            t = min(1.0, max(0.0, ((bp - a) * (d / length).conjugate()).real / length))
+            w = a + t * d
+            if abs(w - branch[0]) * abs(w - branch[1]) <= COLLISION_TOL:
+                raise BranchPointCollisionError(
+                    f"path passes within {COLLISION_TOL:g} of the branch point {bp}"
+                )
+        crossings += _segment_crossing(a, b, c)
+    final_sign = +1 if crossings % 2 == 0 else -1
+    end_pole = 0.5 + final_sign * cmath.sqrt(radicand(model, path.end))
+    return BranchSign(crossings, final_sign, end_pole)
+
+
+def _outcome(rule, model, path):
+    try:
+        return rule(model, path)
+    except PoletraceError as exc:
+        return type(exc), str(exc)
+
+
+def _points(model):
+    """Points on paths that hug the critical line or pass next to a branch point."""
+    r = math.sqrt(model.c)
+    heights = st.floats(-3.0, 3.0)
+    distances = st.floats(-10.0, -2.0).map(lambda k: 10.0**k)
+    signs = st.sampled_from([-1.0, 1.0])
+    return st.one_of(
+        st.builds(lambda u, sign, v: complex(0.5 + sign * u, v), distances, signs, heights),
+        st.builds(lambda u, sign, theta: complex(0.5, sign * r) + u * cmath.exp(1j * theta),
+                  distances, signs, st.floats(0.0, 2.0 * math.pi)),
+        st.builds(complex, st.floats(-1.0, 2.0), heights),
+    )
+
+
+class TestCollisionGuardFilter:
+    """The guard runs only near the line, and decides as the guard on every segment does."""
+
+    @settings(max_examples=500)
+    @given(
+        model=st.one_of(
+            st.floats(0.1, 2.0).map(lambda t: SpectralModel.hilbert_maass(GrossencharParams((t, -t)))),
+            st.just(SpectralModel.gl2q()),
+            st.floats(0.0, 3.0).map(SpectralModel.gl3_cuspidal),
+        ),
+        data=st.data(),
+    )
+    def test_same_result_or_error_as_the_full_guard(self, model, data):
+        start = data.draw(st.builds(lambda u, v: complex(0.5 + u, v),
+                                    st.floats(-10.0, 0.2).map(lambda k: 10.0**k),
+                                    st.floats(-3.0, 3.0)))
+        points = [start, *data.draw(st.lists(_points(model), min_size=1, max_size=4))]
+        assume(all(a != b for a, b in zip(points[:-1], points[1:])))
+        path = WPath(tuple(points))
+        assert _outcome(branch_sign, model, path) == _outcome(_unfiltered_branch_sign, model, path)
+
+    @pytest.mark.parametrize("u, collides", [
+        (1e-10, True), (0.99e-4, True), (1e-4, True), (1.01e-4, False),
+        (1.414e-4, False), (1.415e-4, False), (1e-2, False),
+    ])
+    def test_segment_along_the_line_on_gl2q(self, u, collides):
+        # c = 0: both branch points are w = 1/2, and |q| = u^2 where the segment passes it
+        model = SpectralModel.gl2q()
+        path = WPath((1.2 + 0j, complex(0.5 + u, -1.0), complex(0.5 + u, 1.0)))
+        outcome = _outcome(branch_sign, model, path)
+        assert outcome == _outcome(_unfiltered_branch_sign, model, path)
+        assert (not isinstance(outcome, BranchSign)) == collides
+        if collides:
+            assert outcome[0] is BranchPointCollisionError

@@ -4,9 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import poletrace.numerators as numerators
 import poletrace.quadrature as quadrature
 from poletrace.continuation import continue_integral
+from poletrace.eisenstein import UpperHalfPoint
 from poletrace.errors import (
     AsymmetricNumeratorError,
     NumericalError,
@@ -338,3 +342,54 @@ class TestRegularized:
         # the shared grid still catches an asymmetric numerator
         with pytest.raises(AsymmetricNumeratorError):
             check_line_symmetry(lambda s: np.imag(np.asarray(s)) + 1.0, 17.0)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_MODERATE = st.floats(-1e150, 1e150)
+_WIDTHS = st.floats(1e-3, 1e3) | st.sampled_from(
+    [5e-324, 1e-300, 1e-30, 1e30, 1e300, 1.7976931348623157e308]
+)
+
+
+class TestProbeSkip:
+    """Constant and Gaussian numerators are not probed; the Eisenstein product is."""
+
+    @settings(max_examples=300)
+    @given(
+        numerator=st.one_of(
+            st.builds(Numerator.synthetic_gaussian, _WIDTHS, st.builds(complex, _FINITE, _FINITE)),
+            st.builds(Numerator.constant, st.builds(complex, _MODERATE, _MODERATE),
+                      st.builds(complex, _MODERATE, _MODERATE)),
+            st.builds(Numerator.constant, st.builds(complex, _FINITE, _FINITE)),
+        ),
+        T=st.floats(0.0, 1e6, exclude_min=True),
+    )
+    def test_the_full_probe_would_find_no_asymmetry(self, numerator, T):
+        # the wrapper is not a Numerator, so it gets the full 128-point probe;
+        # numpy's overflow warnings are not an outcome of the probe
+        with np.errstate(over="ignore", invalid="ignore"):
+            assume(np.isfinite(numerator(0.5)))
+            assert check_line_symmetry(lambda s: numerator(s), T) == 0.0
+        assert check_line_symmetry(numerator, T) == 0.0
+
+    @pytest.mark.parametrize("numerator", [Numerator.constant(2.0, 1j),
+                                           Numerator.synthetic_gaussian(0.5, 3.0)])
+    def test_constant_and_gaussian_are_not_called(self, monkeypatch, numerator):
+        def refuse(self, s):
+            raise AssertionError("probed")
+
+        monkeypatch.setattr(Numerator, "__call__", refuse)
+        assert check_line_symmetry(numerator, 30.0) == 0.0
+
+    def test_eisenstein_product_is_probed_in_one_batched_call(self, monkeypatch):
+        sizes = []
+
+        def completed(s, z, n_terms):
+            sizes.append(np.size(s))
+            return np.imag(s) + 1.0
+
+        monkeypatch.setattr(numerators, "eisenstein_gl2_completed", completed)
+        z = UpperHalfPoint(0.1, 1.05)
+        with pytest.raises(AsymmetricNumeratorError):
+            check_line_symmetry(Numerator.eisenstein_product_gl2(z, z), 16.0)
+        assert sizes == [128]
