@@ -26,13 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuation import PATH_STEP, branching_difference, continue_integral, continue_pole
-from .eisenstein import EisensteinParams, UpperHalfPoint, eisenstein_gl2, eisenstein_gl2_completed
 from .errors import NumericalError, PoletraceError, ValidationError
 from .models import SpectralModel, branch_points
 from .numerators import Numerator
-from .paths import WPath, radicand_curve
-from .verify import SUITES, run_criteria
+
+# each command imports the rest of the package it runs, in its handler
 
 
 def _parse_complex(text: str, name: str) -> complex:
@@ -46,7 +44,9 @@ def _parse_complex(text: str, name: str) -> complex:
     return value
 
 
-def _parse_path(text: str | None, key: str = "path", label: str = "") -> WPath:
+def _parse_path(text: str | None, key: str = "path", label: str = ""):
+    from .paths import WPath
+
     if text is None:
         raise ValidationError(f"no path given (flag --{key} or config key {key!r})")
     points = tuple(_parse_complex(part, "path point") for part in text.split(";") if part.strip())
@@ -206,7 +206,7 @@ def _build_parser(config: dict | None = None) -> _Parser:
     p = add("trace", _cmd_trace, "track the integrand pole along a w-path")
     p.add_argument("--model")
     p.add_argument("--path", help="waypoints 're,im;re,im;...'")
-    p.add_argument("--step", type=float, default=PATH_STEP)
+    p.add_argument("--step", type=float)
 
     p = add("continue", _cmd_continue, "continue the spectral integral along a w-path")
     p.add_argument("--model")
@@ -225,7 +225,8 @@ def _build_parser(config: dict | None = None) -> _Parser:
                    help="height of the numerator's symmetry probe")
 
     p = add("verify", _cmd_verify, "run acceptance criterion suites")
-    p.add_argument("--suite", default="all", help=f"one of {', '.join(sorted(SUITES))}")
+    p.add_argument("--suite", default="all",
+                   help="criterion suite to run (default 'all'); an unknown name lists them")
 
     p = add("curve", _cmd_curve, "radicand parabola samples as CSV + SVG")
     p.add_argument("--t-norm", dest="t_norm", type=float, required=True)
@@ -260,8 +261,11 @@ def _cmd_branch_points(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .continuation import PATH_STEP, continue_pole
+
     model = _load(args.model, SpectralModel.from_dict, "model")
-    trace = continue_pole(model, _parse_path(args.path), step=args.step)
+    step = PATH_STEP if args.step is None else args.step
+    trace = continue_pole(model, _parse_path(args.path), step=step)
     out = Path(args.out)
     s_samples = 0.5 + trace.sqrt_samples.samples
     payload = {
@@ -279,6 +283,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_continue(args) -> int:
+    from .continuation import continue_integral
+
     model = _load(args.model, SpectralModel.from_dict, "model")
     numerator = _load(args.numerator, Numerator.from_dict, "numerator")
     path = _parse_path(args.path)
@@ -289,6 +295,8 @@ def _cmd_continue(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from .continuation import branching_difference
+
     model = _load(args.model, SpectralModel.from_dict, "model")
     numerator = _load(args.numerator, Numerator.from_dict, "numerator")
     path1 = _parse_path(args.path, label="outside")
@@ -304,6 +312,8 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITES, run_criteria
+
     suite = args.suite
     if suite not in SUITES:
         print(f"error: unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}",
@@ -318,6 +328,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from .paths import radicand_curve
+
     lo_s, _, hi_s = args.sigma_range.partition(",")
     try:
         sigma_range = (float(lo_s), float(hi_s))
@@ -335,6 +347,9 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_eval_eisenstein(args) -> int:
+    from .eisenstein import (EisensteinParams, UpperHalfPoint, eisenstein_gl2,
+                             eisenstein_gl2_completed)
+
     if args.completed and args.mode == "lattice_sum":
         raise ValidationError("--completed evaluates the Fourier expansion, not --mode lattice_sum")
     s = _parse_complex(args.s, "s")

@@ -115,8 +115,7 @@ def correction_coefficient(model: SpectralModel, s_star: complex) -> complex:
 
 def _correction_term(numerator: Callable, model: SpectralModel, s_star: complex) -> CorrectionTerm:
     """The correction term at the continued pole s*; NumericalError when it is not finite."""
-    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
-        value = complex(numerator(s_star))
+    value = complex(numerator(s_star))
     term = CorrectionTerm(
         s_star=s_star,
         nu=model.nu,
@@ -152,7 +151,7 @@ def continue_pole(model: SpectralModel, path: WPath, step: float = PATH_STEP) ->
 
 def _require_settings(**settings: float) -> None:
     for name, value in settings.items():
-        if not (np.isfinite(value) and value > 0):
+        if not (math.isfinite(value) and value > 0):
             raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 

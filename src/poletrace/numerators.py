@@ -13,19 +13,58 @@ read.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .eisenstein import UpperHalfPoint, eisenstein_gl2_completed
 from .errors import ValidationError
 from .models import _is_json_number, _json_complex, _json_real, _json_reals, _known_fields
+
+if TYPE_CHECKING:
+    from .eisenstein import UpperHalfPoint
+
+#: Re e up to which ``cmath.exp(e)`` equals numpy's complex exp (libm's cexp):
+#: below log(DBL_MAX) - 1 both take exp(Re e) times cos and sin of Im e
+_CMATH_EXP_MAX = 708.0
+
+
+def _exp(e: complex) -> complex:
+    """exp(e) with the bits of numpy's complex exp, for a Python complex e.
+
+    The two agree for Re e <= :data:`_CMATH_EXP_MAX` and finite Im e.  Beyond
+    that cmath rounds differently next to overflow, raises OverflowError or
+    ValueError where numpy returns a non-finite value, so those values take
+    numpy's exp.
+    """
+    if e.real <= _CMATH_EXP_MAX and math.isfinite(e.imag):
+        return cmath.exp(e)
+    with np.errstate(all="ignore"):
+        return complex(np.exp(e))
 
 
 @dataclass(frozen=True, slots=True)
 class Numerator:
-    """A symmetric numerator N(s); call it on scalars or arrays of s."""
+    """A symmetric numerator N(s); call it on scalars or arrays of s.
+
+    A constant or Gaussian numerator at a Python scalar s is worked out in
+    Python scalar arithmetic and gives a Python complex; an array of s gives
+    an array, from the same real operations done elementwise:
+
+        u = (Re s - 1/2) * (1/width),  v = Im s * (1/width),
+        g = exp((u*u - v*v) + i (2 (u*v))),
+        N = (sr*gr - si*gi) + i (sr*gi + si*gr)   with scale = sr + i si,
+
+    and a constant is the Python product scale * value.  So a scalar and an
+    array call agree bit for bit, and no fused multiply-add of numpy's
+    dispatched complex loops reaches a value: the bits are the same on every
+    x86-64 CPU.  (u, v) is what numpy's division of s - 1/2 by the real width
+    gives, up to the sign of a zero.  A value that overflows is non-finite
+    on both paths, without a warning; the caller refuses it.  The Eisenstein
+    product is evaluated on arrays always, with numpy's complex loops.
+    """
 
     kind: str
     scale: complex = 1.0
@@ -40,8 +79,9 @@ class Numerator:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValidationError(f"unknown numerator kind {self.kind!r}")
-        for name in ("scale", "value", "width"):
-            if not np.isfinite(getattr(self, name)):
+        for name, kind in (("scale", complex), ("value", complex), ("width", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+            if not cmath.isfinite(getattr(self, name)):
                 raise ValidationError(f"numerator {name} must be finite, got {getattr(self, name)}")
         if self.kind == "gaussian" and not self.width > 0:
             raise ValidationError(f"gaussian width must be positive, got {self.width}")
@@ -50,11 +90,11 @@ class Numerator:
 
     @classmethod
     def constant(cls, value: complex = 1.0, scale: complex = 1.0) -> "Numerator":
-        return cls(kind="constant", value=complex(value), scale=complex(scale))
+        return cls(kind="constant", value=value, scale=scale)
 
     @classmethod
     def synthetic_gaussian(cls, width: float = 1.0, scale: complex = 1.0) -> "Numerator":
-        return cls(kind="gaussian", width=float(width), scale=complex(scale))
+        return cls(kind="gaussian", width=width, scale=scale)
 
     @classmethod
     def eisenstein_product_gl2(
@@ -64,25 +104,42 @@ class Numerator:
         n_terms: int = 30,
         scale: complex = 1.0,
     ) -> "Numerator":
-        return cls(kind="eisenstein_product", z0=z0, z=z, n_terms=n_terms, scale=complex(scale))
+        return cls(kind="eisenstein_product", z0=z0, z=z, n_terms=n_terms, scale=scale)
 
     def __call__(self, s):
-        scalar = np.isscalar(s) or getattr(s, "ndim", 1) == 0
-        sv = np.atleast_1d(np.asarray(s, dtype=complex))
+        scalar = isinstance(s, (int, float, complex))
         if self.kind == "constant":
-            out = np.full(sv.shape, self.value, dtype=complex)
-        elif self.kind == "gaussian":
-            out = np.exp(((sv - 0.5) / self.width) ** 2)
-        else:
-            # E*(1-s, z0) = E*(s, z0) by the functional equation, so with
-            # z0 = z both factors share one evaluation
-            out = eisenstein_gl2_completed(sv, self.z, self.n_terms)
-            if self.z0 == self.z:
-                out = out * out
+            value = self.scale * self.value
+            return value if scalar or np.ndim(s) == 0 else np.full(np.shape(s), value)
+        if scalar and self.kind == "gaussian":
+            s = complex(s)
+            r = 1.0 / self.width
+            u, v = (s.real - 0.5) * r, s.imag * r
+            return self.scale * _exp(complex(u * u - v * v, 2.0 * (u * v)))
+        z = np.asarray(s, dtype=complex)
+        with np.errstate(all="ignore"):  # a non-finite value is refused where it is used
+            if self.kind == "gaussian":
+                r = 1.0 / self.width
+                u, v = (z.real - 0.5) * r, z.imag * r
+                e = np.empty(z.shape, dtype=complex)
+                e.real, e.imag = u * u - v * v, 2.0 * (u * v)
+                g = np.exp(e)
             else:
-                out = out * eisenstein_gl2_completed(sv, self.z0, self.n_terms)
-        out = self.scale * out
-        return complex(out[0]) if scalar else out
+                from .eisenstein import eisenstein_gl2_completed
+
+                # E*(1-s, z0) = E*(s, z0) by the functional equation, so with
+                # z0 = z both factors share one evaluation
+                sv = np.atleast_1d(z)
+                g = eisenstein_gl2_completed(sv, self.z, self.n_terms)
+                if self.z0 == self.z:
+                    g = g * g
+                else:
+                    g = g * eisenstein_gl2_completed(sv, self.z0, self.n_terms)
+                g = g.reshape(z.shape)
+            out = np.empty(z.shape, dtype=complex)
+            sr, si = self.scale.real, self.scale.imag
+            out.real, out.imag = sr * g.real - si * g.imag, sr * g.imag + si * g.real
+        return complex(out) if z.ndim == 0 else out
 
     @classmethod
     def from_dict(cls, d: dict) -> "Numerator":
@@ -100,6 +157,8 @@ class Numerator:
                 width = _json_real(d.get("width", 1.0), "numerator", "width")
                 return cls.synthetic_gaussian(width, scale)
             if kind == "eisenstein_product":
+                from .eisenstein import UpperHalfPoint
+
                 z0 = UpperHalfPoint(*_json_reals(d["z0"], "numerator", "z0", 2))
                 z = UpperHalfPoint(*_json_reals(d["z"], "numerator", "z", 2))
                 n_terms = d.get("n_terms", 30)

@@ -59,11 +59,27 @@ _NOISE = 50.0 * np.finfo(float).eps
 MAX_INTERVALS = 8192
 
 
+def _power(z: np.ndarray, nu: int) -> np.ndarray:
+    """z ** nu for the pole orders 1 and 2.
+
+    The square is written out in real arithmetic, as the scalar z * z rounds
+    it: numpy's dispatched complex square may fuse a product into a sum.
+    """
+    if nu == 1:
+        return z
+    out = np.empty(z.shape, dtype=complex)
+    out.real, out.imag = z.real * z.real - z.imag * z.imag, 2.0 * (z.real * z.imag)
+    return out
+
+
 def _gk15(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Kronrod 7/15 on the panels [lo_k, hi_k], all nodes in one call of f.
 
     Returns the values and error estimates of the panels.  Each panel's sums
     run over its own 15 nodes, so they do not depend on the other panels.
+    The estimate |K - G| is ``np.hypot`` of its parts, which rounds as
+    Python's abs() does on every CPU; numpy's abs of a complex array does
+    not.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -71,8 +87,8 @@ def _gk15(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     fx = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
     kg = np.add.reduce(fx[:, None, :] * _WEIGHTS_KG, axis=2)
     k = half * kg[:, 0]
-    g = half * kg[:, 1]
-    return k, np.abs(k - g)
+    d = k - half * kg[:, 1]
+    return k, np.hypot(d.real, d.imag)
 
 
 @np.errstate(invalid="ignore")  # a non-finite value raises below, not as a warning
@@ -106,7 +122,7 @@ def adaptive_quadrature(
             )
         total = complex(math.fsum(val.real.tolist()), math.fsum(val.imag.tolist()))
         # roundoff floor: no point refining below the summation noise level
-        noise = _NOISE * math.fsum(np.abs(val).tolist())
+        noise = _NOISE * math.fsum(np.hypot(val.real, val.imag).tolist())
         target = max(tol * max(1.0, abs(total)), noise)
         if total_err <= target:
             return total, total_err
@@ -214,7 +230,7 @@ def singular_line_quadrature(
     nu = model.nu
 
     def f(s):
-        return 1.0 / (eigenvalue(model, s) - lw) ** nu
+        return 1.0 / _power(eigenvalue(model, s) - lw, nu)
 
     value, err = adaptive_line_quadrature(f, T, tol=tol)
     return value + singular_line_tail(model, w, T), err
@@ -281,6 +297,6 @@ def direct_line_integral(
 
     def f(s):
         s = np.asarray(s, dtype=complex)
-        return np.asarray(numerator(s), dtype=complex) / denominator(model, s, w) ** nu
+        return np.asarray(numerator(s), dtype=complex) / _power(denominator(model, s, w), nu)
 
     return adaptive_line_quadrature(f, T, tol=tol)

@@ -734,3 +734,45 @@ def test_eval_eisenstein_loads_no_numpy_polynomial():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip().splitlines()[-1] == "[]"
+
+
+def _run_cli(args: list, cwd: Path) -> subprocess.CompletedProcess:
+    """One fresh ``python -c`` process that runs the CLI and then lists the loaded modules."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; from poletrace.cli import main; code = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.startswith('poletrace'))); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("args, absent", [
+    (["diff", "--model", "model.json", "--numerator", "numerator.json", "--path", OUTSIDE,
+      "--path2", INSIDE, "--w-end", "0.25,2.5", "--out", "out"],
+     ("verify", "eisenstein", "planar")),
+    (["eval-eisenstein", "--s", "0.3,1", "--z", "0.1,1.1"],
+     ("paths", "continuation", "quadrature", "planar", "verify")),
+])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, args, absent):
+    (tmp_path / "model.json").write_text(json.dumps({"kind": "HilbertMaass", "t": [1.0, -1.0]}))
+    (tmp_path / "numerator.json").write_text(json.dumps({"kind": "gaussian", "width": 1.0}))
+    run = _run_cli(args, tmp_path)
+    assert run.returncode == 0, run.stderr
+    loaded = run.stdout.strip().splitlines()[-1]
+    assert "'poletrace.cli'" in loaded
+    for name in absent:
+        assert f"'poletrace.{name}'" not in loaded, name
+
+
+def test_overflowing_constant_prints_only_the_numerical_failure(tmp_path):
+    # scale * value overflows at every quadrature node; numpy's overflow
+    # warning used to reach stderr ahead of the failure
+    (tmp_path / "model.json").write_text(json.dumps({"kind": "HilbertMaass", "t": [0.1, -0.1]}))
+    (tmp_path / "numerator.json").write_text(
+        json.dumps({"kind": "constant", "value": [3, -1], "scale": [1e308, 1e308]})
+    )
+    run = _run_cli(["continue", "--model", "model.json", "--numerator", "numerator.json",
+                    "--path", "1.2,0;1.2,0.3;0.1,0.3;0.1,0.25", "--out", "out"], tmp_path)
+    assert run.returncode == 2
+    assert run.stderr == "numerical failure: integrand is not finite on [-40, -8]\n"
+    assert not (tmp_path / "out").exists()

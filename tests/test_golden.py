@@ -4,7 +4,13 @@ Reruns within one version are compared elsewhere; these pins catch a change
 of any output file or printed line between versions.  ``tests/golden/<name>``
 holds each example's stdout and output files; the long CSV and SVG files are
 pinned by their SHA-256 in ``<file>.sha256``.  The pins hold on any x86-64
-CPU: the examples are rerun with numpy's dispatched SIMD loops switched off.
+CPU: the examples and the pinned line quadratures are rerun with numpy's
+dispatched SIMD loops switched off, and so is a seeded set of ``diff`` and
+``continue`` calls with constant and Gaussian numerators, which must keep
+their bits.  The Eisenstein product is not covered: its E* products take
+numpy's complex loops.
+
+Run as a script, the module prints the bits of that seeded set as JSON.
 """
 
 import hashlib
@@ -14,9 +20,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from poletrace.cli import main
+from poletrace.continuation import branching_difference, continue_integral
+from poletrace.errors import PoletraceError
+from poletrace.models import GrossencharParams, SpectralModel
+from poletrace.numerators import Numerator
+from poletrace.paths import WPath
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 OUTSIDE = "1.2,0;1.2,2;0.25,2;0.25,2.5"
@@ -60,18 +72,77 @@ def test_readme_example_output_is_pinned(name, tmp_path, capsys):
             assert (out / pin).read_bytes() == (expected / pin).read_bytes(), pin
 
 
-def test_pins_hold_without_dispatched_simd():
-    # numpy's AVX2 and AVX-512 loops may fuse a multiply into an add; the
-    # baseline loops do not, and the output bytes must not depend on which ran
+def _without_dispatch(*args: str) -> subprocess.CompletedProcess:
+    """Run Python with every CPU feature that numpy dispatches on this host switched off."""
     umath = pytest.importorskip("numpy._core._multiarray_umath")
     features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
     if not features:
         pytest.skip("numpy dispatches no CPU feature on this host")
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features), PYTHONPATH=str(src))
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_readme_example_output_is_pinned"],
-        env=env, capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_pins_hold_without_dispatched_simd():
+    # numpy's AVX2 and AVX-512 loops may fuse a multiply into an add; the
+    # baseline loops do not, and the output bytes must not depend on which ran
+    quadrature_tests = Path(__file__).resolve().parent / "test_quadrature.py"
+    run = _without_dispatch(
+        "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        f"{__file__}::test_readme_example_output_is_pinned",
+        f"{quadrature_tests}::TestPinnedBits",
     )
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def _seeded_results() -> list:
+    """Bits of seeded ``diff`` and ``continue`` calls, or the error each one raised.
+
+    HilbertMaass and GL3Cuspidal models alternate; the numerators are
+    Gaussians of widths 0.5 to 2 and constants, all with complex scales.
+    Each outside path crosses the critical line above the branch point
+    1/2 + i sqrt(c), each inside path below it.
+    """
+    rng = np.random.default_rng(7)
+
+    def bits(z: complex) -> list:
+        return [z.real.hex(), z.imag.hex()]
+
+    results = []
+    for k in range(24):
+        if k % 2 == 0:
+            t = rng.uniform(0.5, 2.0)
+            model = SpectralModel.hilbert_maass(GrossencharParams((t, -t)))
+        else:
+            model = SpectralModel.gl3_cuspidal(rng.uniform(0.0, 2.0))
+        scale = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        if k % 4 < 3:
+            numerator = Numerator.synthetic_gaussian(rng.uniform(0.5, 2.0), scale)
+        else:
+            numerator = Numerator.constant(complex(rng.uniform(-2.0, 2.0), 1.0), scale)
+        root = model.c ** 0.5
+        x, y = rng.uniform(0.1, 0.35), root + rng.uniform(0.3, 1.0)
+        w_end = complex(x, y)
+        high, low = y + 0.5, 0.5 * root
+        outside = WPath((1.2, complex(1.2, high), complex(x, high), w_end))
+        inside = WPath((1.2, complex(1.2, low), complex(x, low), w_end))
+        try:
+            difference, term = branching_difference(numerator, model, w_end, outside, inside)
+            results.append(["diff", bits(difference), bits(term.numerator_value)])
+            result = continue_integral(numerator, model, outside)
+            results.append(["continue", bits(result.endpoint_value), result.est_error.hex()])
+        except PoletraceError as exc:
+            results.append([type(exc).__name__, str(exc)])
+    return results
+
+
+def test_seeded_diff_and_continue_keep_their_bits_without_dispatched_simd():
+    run = _without_dispatch(__file__)
+    assert run.returncode == 0, run.stderr
+    results = _seeded_results()
+    assert sum(r[0] in ("diff", "continue") for r in results) == 48
+    assert json.loads(run.stdout) == results
+
+
+if __name__ == "__main__":
+    print(json.dumps(_seeded_results()))

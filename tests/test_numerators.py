@@ -1,5 +1,10 @@
+import cmath
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poletrace.eisenstein import UpperHalfPoint
 from poletrace.errors import ValidationError
@@ -89,3 +94,53 @@ class TestDescriptors:
     def test_out_of_domain_fields_keep_their_message(self):
         with pytest.raises(ValidationError, match="^gaussian width must be positive"):
             Numerator.from_dict({"kind": "gaussian", "width": 0.0})
+
+
+_ANY = st.floats(allow_nan=False, allow_infinity=False)
+_SCALES = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)) | st.builds(complex, _ANY,
+                                                                                       _ANY)
+
+
+def _agreeing_value(numerator: Numerator, s: complex) -> complex:
+    """N(s) from a scalar, a 0-d and a 1-d call, which must agree bit for bit, warning-free."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = numerator(s)
+        zero_d = numerator(np.array(s))
+        array = numerator(np.array([s, 0.5]))
+    assert type(scalar) is complex and type(zero_d) is complex
+    bits = [(z.real.hex(), z.imag.hex()) for z in (scalar, zero_d, complex(array[0]))]
+    assert bits[0] == bits[1] == bits[2]
+    return scalar
+
+
+class TestScalarAndArrayCalls:
+    """Scalar calls take Python arithmetic, array calls numpy's; the bits are the same."""
+
+    @settings(max_examples=400)
+    @given(
+        numerator=st.one_of(
+            st.builds(Numerator.synthetic_gaussian,
+                      st.floats(1e-3, 1e3) | st.sampled_from([0.7, 5e-324, 1.7976931348623157e308]),
+                      _SCALES),
+            st.builds(Numerator.constant, _SCALES, _SCALES),
+        ),
+        s=st.builds(complex, st.floats(-1e3, 1e3) | _ANY, st.floats(-1e3, 1e3) | _ANY),
+    )
+    def test_agree_bit_for_bit(self, numerator, s):
+        _agreeing_value(numerator, s)
+
+    @given(x=st.floats(26.0, 27.0), y=st.floats(-4.0, 4.0))
+    def test_agree_next_to_overflow(self, x, y):
+        # Re of the exponent (x^2 - y^2) sweeps across exp's overflow at 709.78,
+        # where cmath.exp rounds differently from numpy's exp
+        _agreeing_value(Numerator.synthetic_gaussian(1.0, 0.3 - 2j), complex(0.5 + x, y))
+
+    @pytest.mark.parametrize("numerator, s", [
+        (Numerator.synthetic_gaussian(0.002), 0.0910012138813 + 0.244499503162j),
+        (Numerator.synthetic_gaussian(1.0), 27.2),
+        (Numerator.synthetic_gaussian(1e-300, 1j), 0.5 + 1e160 + 1e150j),
+        (Numerator.constant(3 - 1j, 1e308 + 1e308j), 0.5),
+    ])
+    def test_an_overflow_is_non_finite_on_both_paths(self, numerator, s):
+        assert not cmath.isfinite(_agreeing_value(numerator, s))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import poletrace.numerators as numerators
+import poletrace.eisenstein as eisenstein
 import poletrace.quadrature as quadrature
 from poletrace.continuation import continue_integral
 from poletrace.eisenstein import UpperHalfPoint
@@ -215,9 +215,12 @@ class TestPinnedBits:
     """Line quadratures pinned to the bits the scalar eigenvalue loop gave.
 
     ``golden/line_quadrature_pins.json`` holds seeded inputs and the value and
-    est_error they gave, as ``float.hex``, computed when
+    est_error they gave, as ``float.hex``, first computed when
     ``singular_line_quadrature`` still evaluated the eigenvalue one node at a
-    time and ``_gk15`` summed each rule separately.
+    time and ``_gk15`` summed each rule separately.  They were re-pinned
+    when the nu = 2 squares moved to real arithmetic and the error estimate
+    to ``np.hypot``; since then they hold with numpy's dispatched SIMD loops
+    switched off too (``test_golden.py`` reruns them that way).
     """
 
     @staticmethod
@@ -388,7 +391,7 @@ class TestProbeSkip:
             sizes.append(np.size(s))
             return np.imag(s) + 1.0
 
-        monkeypatch.setattr(numerators, "eisenstein_gl2_completed", completed)
+        monkeypatch.setattr(eisenstein, "eisenstein_gl2_completed", completed)
         z = UpperHalfPoint(0.1, 1.05)
         with pytest.raises(AsymmetricNumeratorError):
             check_line_symmetry(Numerator.eisenstein_product_gl2(z, z), 16.0)
