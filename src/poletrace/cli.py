@@ -23,6 +23,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from .errors import NumericalError, PoletraceError, ValidationError
 from .models import SpectralModel, branch_points
 from .numerators import Numerator
 
-# each command imports the rest of the package it runs, in its handler
+# the handlers import the rest of the package, so a command loads only what it runs
+if TYPE_CHECKING:
+    from .paths import WPath
 
 
 def _parse_complex(text: str, name: str) -> complex:
@@ -44,7 +47,7 @@ def _parse_complex(text: str, name: str) -> complex:
     return value
 
 
-def _parse_path(text: str | None, key: str = "path", label: str = ""):
+def _parse_path(text: str | None, key: str = "path", label: str = "") -> WPath:
     from .paths import WPath
 
     if text is None:

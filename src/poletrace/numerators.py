@@ -60,10 +60,12 @@ class Numerator:
     and a constant is the Python product scale * value.  So a scalar and an
     array call agree bit for bit, and no fused multiply-add of numpy's
     dispatched complex loops reaches a value: the bits are the same on every
-    x86-64 CPU.  (u, v) is what numpy's division of s - 1/2 by the real width
-    gives, up to the sign of a zero.  A value that overflows is non-finite
-    on both paths, without a warning; the caller refuses it.  The Eisenstein
-    product is evaluated on arrays always, with numpy's complex loops.
+    x86-64 CPU.  u and v multiply by 1/width because numpy divides a complex
+    by a real width that way, so the values keep the bits they had on a CPU
+    without fused multiply-adds (up to the sign of a zero).  A value that
+    overflows is non-finite on both paths, without a warning; the caller
+    refuses it.  The Eisenstein product is evaluated on arrays always, with
+    numpy's complex loops.
     """
 
     kind: str

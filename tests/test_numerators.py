@@ -97,8 +97,8 @@ class TestDescriptors:
 
 
 _ANY = st.floats(allow_nan=False, allow_infinity=False)
-_SCALES = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)) | st.builds(complex, _ANY,
-                                                                                       _ANY)
+_SCALES = st.one_of(st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                    st.builds(complex, _ANY, _ANY))
 
 
 def _agreeing_value(numerator: Numerator, s: complex) -> complex:
